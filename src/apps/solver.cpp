@@ -3,10 +3,9 @@
 #include <cmath>
 #include <memory>
 
+#include "core/array_fingerprint.hpp"
 #include "core/redistribute.hpp"
-#include "core/streamer.hpp"
 #include "rt/collectives.hpp"
-#include "support/crc32.hpp"
 #include "support/error.hpp"
 
 namespace drms::apps {
@@ -294,28 +293,9 @@ SolverOutcome run_solver(core::DrmsProgram& program, rt::TaskContext& ctx,
   out.residual = residual;
 
   if (options.compute_field_crc) {
-    // Canonical (distribution-independent) stream of u, CRC'd on rank 0 —
-    // bitwise comparable across task counts and restarts.
-    store::StorageBackend& storage = *program.env().storage;
-    const std::string crc_file = spec.name + ".__fieldcrc.tmp";
-    if (ctx.rank() == 0) {
-      storage.create(crc_file);
-    }
-    ctx.barrier();
-    const core::ArrayStreamer streamer(nullptr, {});
-    streamer.write_section(ctx, u, u.global_box(), storage.open(crc_file),
-                           0, 1);
-    ctx.barrier();
-    support::ByteBuffer decision;
-    if (ctx.rank() == 0) {
-      const auto handle = storage.open(crc_file);
-      const auto bytes = handle.read_at(0, handle.size());
-      decision.put_u32(support::crc32c(bytes));
-      storage.remove(crc_file);
-    }
-    rt::broadcast(ctx, decision, 0);
-    decision.rewind();
-    out.field_crc = decision.get_u32();
+    // Canonical (distribution-independent) stream digest of u — bitwise
+    // comparable across task counts and restarts; touches no storage.
+    out.field_crc = core::array_fingerprint(ctx, u);
   }
   return out;
 }

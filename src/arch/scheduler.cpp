@@ -58,16 +58,13 @@ bool JobScheduler::preempt_job(const std::string& job_name,
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   // Tear the pool down; run_job's loop will relaunch from the state.
-  rt::TaskGroup* group = nullptr;
   {
     const std::lock_guard<std::mutex> lock(running_mutex_);
     if (running_.count(job_name) == 0) {
       return false;  // finished on its own in the meantime
     }
   }
-  // The cluster holds the group pointer; kill through it.
   cluster_.kill_pool(job_name, "preempted by the scheduler");
-  (void)group;
   if (log_ != nullptr) {
     log_->record(EventKind::kJobPreempted, "job=" + job_name);
   }

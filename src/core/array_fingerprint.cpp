@@ -1,35 +1,35 @@
 #include "core/array_fingerprint.hpp"
 
+#include "core/sequential_channel.hpp"
+#include "core/streamer.hpp"
 #include "rt/collectives.hpp"
 #include "support/crc32.hpp"
 
 namespace drms::core {
 
+namespace {
+
+/// Sequential sink that folds the stream into a CRC instead of keeping it.
+class CrcSink final : public SequentialSink {
+ public:
+  void write(std::span<const std::byte> data) override { crc_.update(data); }
+  [[nodiscard]] std::uint32_t value() const noexcept { return crc_.value(); }
+
+ private:
+  support::Crc32c crc_;
+};
+
+}  // namespace
+
 std::uint32_t array_fingerprint(rt::TaskContext& ctx,
                                 const DistArray& array) {
-  const Slice& assigned = array.distribution().assigned(ctx.rank());
-  support::Crc32c local;
-  std::uint64_t bytes = 0;
-  if (!assigned.empty()) {
-    bytes = static_cast<std::uint64_t>(assigned.element_count()) *
-            array.elem_size();
-    std::vector<std::byte> buf(static_cast<std::size_t>(bytes));
-    array.local(ctx.rank()).extract(assigned, buf);
-    local.update(buf);
-  }
-
-  support::ByteBuffer mine;
-  mine.put_u32(local.value());
-  mine.put_u64(bytes);
-  const auto all = rt::gather(ctx, std::move(mine), 0);
-
+  CrcSink sink;
+  const ArrayStreamer streamer(nullptr, {});
+  (void)streamer.write_section_sequential(ctx, array, array.global_box(),
+                                          sink);
   support::ByteBuffer result;
   if (ctx.rank() == 0) {
-    support::Crc32c combined;
-    for (const auto& contribution : all) {
-      combined.update(contribution.bytes());
-    }
-    result.put_u32(combined.value());
+    result.put_u32(sink.value());
   }
   rt::broadcast(ctx, result, 0);
   result.rewind();

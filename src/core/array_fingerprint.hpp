@@ -1,16 +1,13 @@
-// Content fingerprint of a distributed array — the detection half of
-// incremental checkpointing. The paper (§6, citing Plank et al.'s memory
-// exclusion) notes that optimizations like "incremental checkpointing
-// that saves only modified pages" apply equally to DRMS checkpointing;
-// here the unit of exclusion is a whole distributed array: arrays whose
-// fingerprint is unchanged since the last checkpoint under the same
-// prefix are not rewritten.
+// Content digest of a distributed array: the CRC-32C of its canonical
+// column-major element stream — the same byte stream a full DRMS
+// generation writes, so the digest equals the `stream_crc` that
+// generation records. It depends only on the array's contents, never on
+// its distribution: digests taken at different task counts (e.g. before
+// a checkpoint and after a reconfigured restart) compare bitwise. The
+// solvers' `field_crc` and the benches' restore checks use it.
 //
-// The fingerprint is the CRC-32C of the rank-ordered list of per-task
-// (assigned-section CRC, byte count) pairs. It is deterministic for a
-// fixed distribution and changes whenever any assigned element changes;
-// it is NOT comparable across different distributions (irrelevant for
-// dirty detection, which happens within one run).
+// Skipping unchanged data at checkpoint time is the job of delta
+// generations (DeltaOptions), which track dirty blocks per array.
 #pragma once
 
 #include <cstdint>
@@ -20,7 +17,9 @@
 
 namespace drms::core {
 
-/// COLLECTIVE: identical result on every task.
+/// COLLECTIVE: identical result on every task. Rank 0 receives the
+/// stream through serial streaming and CRCs it in memory — no storage
+/// backend is touched.
 [[nodiscard]] std::uint32_t array_fingerprint(rt::TaskContext& ctx,
                                               const DistArray& array);
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "core/array_fingerprint.hpp"
 #include "core/exchange.hpp"
 #include "core/partial_restore.hpp"
 #include "core/streamer.hpp"
@@ -108,7 +107,6 @@ CheckpointTiming DrmsCheckpoint::write(rt::TaskContext& ctx,
                                        const ReplicatedStore& store,
                                        std::span<DistArray* const> arrays,
                                        const AppSegmentModel& segment_model,
-                                       IncrementalState* incremental,
                                        const DeltaOptions* delta,
                                        DeltaChainState* chain) {
   for (DistArray* const a : arrays) {
@@ -123,10 +121,9 @@ CheckpointTiming DrmsCheckpoint::write(rt::TaskContext& ctx,
   // only while the chain is short enough, still committed, and does not
   // contain this prefix — overwriting a chain member starts with a
   // decommit, which would pull the base out from under its dependents.
-  const bool delta_mode = delta != nullptr && delta->enabled && chain != nullptr;
+  const bool delta_mode = delta != nullptr && chain != nullptr;
   bool write_delta = false;
   if (delta_mode) {
-    incremental = nullptr;  // chain replay subsumes whole-array skipping
     write_delta =
         !chain->chain.empty() &&
         static_cast<int>(chain->chain.size()) < std::max(delta->full_every_k, 1) &&
@@ -233,56 +230,15 @@ CheckpointTiming DrmsCheckpoint::write(rt::TaskContext& ctx,
   // --- Phase 2: stream every distributed array, in sequence.
   const double t1 = ctx.sim_time();
 
-  // Incremental dirty detection: an array keeps its existing file when
-  // its fingerprint matches the one recorded at the previous checkpoint
-  // under this prefix AND that file is present with the expected size.
-  // The decision is derived from collective-identical values, so every
-  // task takes the same branch.
-  std::vector<bool> skip(arrays.size(), false);
-  std::vector<std::uint32_t> fingerprints(arrays.size(), 0);
-  std::vector<std::uint32_t> previous_crcs(arrays.size(), 0);
-  if (incremental != nullptr) {
-    const bool same_prefix = incremental->prefix == prefix;
-    // Stream CRCs of the previous checkpoint, for arrays we may keep.
-    if (same_prefix && checkpoint_exists(storage_, prefix)) {
-      const CheckpointMeta previous = read_checkpoint_meta(storage_, prefix);
-      for (std::size_t i = 0; i < arrays.size(); ++i) {
-        for (const auto& am : previous.arrays) {
-          if (am.name == arrays[i]->name()) {
-            previous_crcs[i] = am.stream_crc;
-          }
-        }
-      }
-    }
-    for (std::size_t i = 0; i < arrays.size(); ++i) {
-      fingerprints[i] = array_fingerprint(ctx, *arrays[i]);
-      if (!same_prefix) {
-        continue;
-      }
-      const auto it = incremental->fingerprints.find(arrays[i]->name());
-      if (it == incremental->fingerprints.end() ||
-          it->second != fingerprints[i]) {
-        continue;
-      }
-      const std::string file_name =
-          array_file_name(prefix, arrays[i]->name());
-      skip[i] = storage_.exists(file_name) &&
-                storage_.file_size(file_name) ==
-                    arrays[i]->global_byte_count();
-    }
-  }
-
   if (ctx.rank() == 0) {
-    for (std::size_t i = 0; i < arrays.size(); ++i) {
-      if (!skip[i]) {
-        const std::string file_name =
-            write_delta ? delta_array_file_name(prefix, arrays[i]->name())
-                        : array_file_name(prefix, arrays[i]->name());
-        submit_io(file_name, 0, [this, file_name] {
-          support::retry_io([&] { storage_.create(file_name); },
-                            retry_policy("array.create"));
-        });
-      }
+    for (DistArray* const a : arrays) {
+      const std::string file_name =
+          write_delta ? delta_array_file_name(prefix, a->name())
+                      : array_file_name(prefix, a->name());
+      submit_io(file_name, 0, [this, file_name] {
+        support::retry_io([&] { storage_.create(file_name); },
+                          retry_policy("array.create"));
+      });
     }
     // Everything queued so far — the segment sequence and the array
     // creates — must be durable before any rank opens these files.
@@ -298,8 +254,6 @@ CheckpointTiming DrmsCheckpoint::write(rt::TaskContext& ctx,
   meta.task_count = ctx.size();
   meta.sop = sop;
   meta.segment_bytes = total_bytes;
-  int skipped = 0;
-  std::uint64_t skipped_bytes = 0;
   for (std::size_t i = 0; i < arrays.size(); ++i) {
     DistArray* const a = arrays[i];
     std::uint64_t bytes = a->global_byte_count();
@@ -352,17 +306,6 @@ CheckpointTiming DrmsCheckpoint::write(rt::TaskContext& ctx,
       am.dirty_blocks = res.records.size();
       am.total_blocks = plans[i].chunk_count();
       array_span.end(ctx.sim_time());
-    } else if (skip[i]) {
-      ++skipped;
-      skipped_bytes += bytes;
-      // The file is untouched; carry the CRC it was written with.
-      crc = previous_crcs[i];
-      if (recorder_ != nullptr) {
-        recorder_->instant("ckpt", "array.skip", ctx.rank(), ctx.sim_time(),
-                           {obs::Attr::str("array", a->name()),
-                            obs::Attr::num("bytes",
-                                           static_cast<std::int64_t>(bytes))});
-      }
     } else {
       obs::ScopedSpan array_span(
           recorder_, "ckpt", "array", ctx.rank(), ctx.sim_time(),
@@ -432,14 +375,6 @@ CheckpointTiming DrmsCheckpoint::write(rt::TaskContext& ctx,
                       retry_policy("meta.write"));
                 });
       meta_span.end(ctx.sim_time());
-    }
-    if (incremental != nullptr) {
-      incremental->prefix = prefix;
-      for (std::size_t i = 0; i < arrays.size(); ++i) {
-        incremental->fingerprints[arrays[i]->name()] = fingerprints[i];
-      }
-      incremental->arrays_skipped = skipped;
-      incremental->bytes_skipped = skipped_bytes;
     }
     obs::ScopedSpan commit_span(recorder_, "ckpt", "commit", 0,
                                 ctx.sim_time());

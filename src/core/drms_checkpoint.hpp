@@ -12,7 +12,6 @@
 // independent of the task count, so the restart group may be any size.
 #pragma once
 
-#include <map>
 #include <span>
 #include <string>
 
@@ -42,26 +41,12 @@ struct CheckpointTiming {
   }
 };
 
-/// State carried between successive checkpoints under the SAME prefix to
-/// support incremental checkpointing: arrays whose content fingerprint is
-/// unchanged are not rewritten (the §6 memory-exclusion optimization at
-/// whole-array granularity). Owned by the caller (DrmsProgram); the
-/// engine reads it on every task and updates it on task 0 only, between
-/// barriers.
-struct IncrementalState {
-  /// Prefix the fingerprints belong to; a different prefix invalidates.
-  std::string prefix;
-  std::map<std::string, std::uint32_t> fingerprints;
-  /// Statistics of the most recent write().
-  int arrays_skipped = 0;
-  std::uint64_t bytes_skipped = 0;
-};
-
-/// Policy knobs for block-level delta generations. Off by default: every
+/// Policy knobs for block-level delta generations — the §6
+/// memory-exclusion optimization at block granularity. Delta mode is on
+/// exactly when write() receives non-null options; without them every
 /// generation is a full dump and the on-volume formats are byte-identical
 /// to the pre-delta layout.
 struct DeltaOptions {
-  bool enabled = false;
   /// One full generation per `full_every_k` generations (<= 1: always
   /// full). A chain never grows past k - 1 deltas.
   int full_every_k = 4;
@@ -73,11 +58,10 @@ struct DeltaOptions {
   support::BlockCodec codec = support::BlockCodec::kLz;
 };
 
-/// Chain state carried between checkpoints (same ownership discipline as
-/// IncrementalState: owned by DrmsProgram, read on every task, mutated on
-/// task 0 only, between barriers). `chain` holds the committed prefixes
-/// of the live chain, full base first; empty until the first full
-/// generation commits.
+/// Chain state carried between checkpoints: owned by DrmsProgram, read on
+/// every task, mutated on task 0 only, between barriers. `chain` holds the
+/// committed prefixes of the live chain, full base first; empty until the
+/// first full generation commits.
 struct DeltaChainState {
   std::vector<std::string> chain;
   /// Statistics of the most recent write().
@@ -113,24 +97,19 @@ class DrmsCheckpoint {
   /// COLLECTIVE: write a full checkpoint under `prefix`. `store` is the
   /// calling task's replicated store (task 0's copy is the one saved);
   /// `arrays` are the application's distributed arrays, all distributed.
-  /// With a non-null `incremental`, arrays whose fingerprint is unchanged
-  /// since the previous checkpoint under the same prefix keep their
-  /// existing file instead of being restreamed.
   ///
-  /// With non-null `delta` (enabled) AND `chain`, the engine writes a
+  /// With non-null `delta` AND `chain`, the engine writes a
   /// DELTA generation — only the blocks dirtied since the chain's last
   /// generation, run through the codec stage — whenever the live chain is
   /// non-empty, shorter than full_every_k generations, still committed,
   /// and does not contain `prefix` (overwriting a chain member would pull
   /// the base out from under its dependents); otherwise it writes a full
-  /// generation that starts a fresh chain. Delta mode ignores
-  /// `incremental` (chain replay subsumes whole-array skipping).
+  /// generation that starts a fresh chain.
   CheckpointTiming write(rt::TaskContext& ctx, const std::string& prefix,
                          const std::string& app_name, std::int64_t sop,
                          const ReplicatedStore& store,
                          std::span<DistArray* const> arrays,
                          const AppSegmentModel& segment_model,
-                         IncrementalState* incremental = nullptr,
                          const DeltaOptions* delta = nullptr,
                          DeltaChainState* chain = nullptr);
 

@@ -135,7 +135,7 @@ class Recorder final : public support::RetryObserver {
 
   // ---- snapshots (copies; safe while recording continues) -------------------
   [[nodiscard]] std::vector<SpanRecord> spans() const;
-  /// Spans with id >= `from` (a cursor for incremental consumers: pass
+  /// Spans with id >= `from` (a cursor for polling consumers: pass
   /// the previous cursor plus the returned size to see each span once).
   /// Spans still open at the call are returned with closed == false and
   /// WILL NOT be re-delivered once closed — consumers polling at points

@@ -107,11 +107,15 @@ std::string FailureSchedule::describe() const {
       out += "; ";
     }
     out += to_string(e.kind);
+    // Appended piecewise: GCC 12 at -O3 misreports `"#" + std::string`
+    // as an overlapping memcpy (-Werror=restrict).
     if (e.kind == FailureKind::kNodeLoss) {
-      out += "#" + std::to_string(e.node_ordinal);
+      out += '#';
+      out += std::to_string(e.node_ordinal);
     }
     if (e.kind == FailureKind::kTransientFaults) {
-      out += "x" + std::to_string(e.transient_count);
+      out += 'x';
+      out += std::to_string(e.transient_count);
     }
     out += "@L" + std::to_string(e.launch) + "/i" +
            std::to_string(e.at_iteration);

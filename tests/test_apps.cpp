@@ -6,6 +6,8 @@
 #include "apps/app_spec.hpp"
 #include "support/error.hpp"
 #include "apps/solver.hpp"
+#include "obs/instrumented_backend.hpp"
+#include "obs/recorder.hpp"
 #include "rt/task_group.hpp"
 #include "support/units.hpp"
 #include "test_helpers.hpp"
@@ -87,7 +89,8 @@ struct SolveResult {
   bool completed = false;
 };
 
-SolveResult solve(Volume& volume, const AppSpec& spec, int tasks, Index n,
+SolveResult solve(drms::store::StorageBackend& storage, const AppSpec& spec,
+                  int tasks, Index n,
                   int iterations, const std::string& prefix,
                   const std::string& restart_from, int stop_at = -1,
                   CheckpointMode mode = CheckpointMode::kDrms) {
@@ -100,7 +103,7 @@ SolveResult solve(Volume& volume, const AppSpec& spec, int tasks, Index n,
   options.stop_at_iteration = stop_at;
 
   DrmsEnv env;
-  env.storage = &volume.backend();
+  env.storage = &storage;
   env.restart_prefix = restart_from;
   env.mode = mode;
   auto program = make_program(options, env, tasks);
@@ -146,11 +149,28 @@ TEST_P(SolverApps, ReconfiguredRestartReproducesTheRun) {
   ASSERT_TRUE(ref.completed);
   EXPECT_EQ(ref.outcome.checkpoints_written, 2);  // it=5, it=10
 
-  // Interrupt after the it=10 checkpoint; restart on 6 tasks.
+  // Interrupt after the it=10 checkpoint; restart on 6 tasks, recording
+  // every storage operation of the resumed run.
   Volume volume(16);
   (void)solve(volume, spec, 4, kN, kIters, "ck", "", /*stop_at=*/11);
-  const auto resumed = solve(volume, spec, 6, kN, kIters, "ck2", "ck");
+  drms::obs::Recorder recorder;
+  drms::obs::InstrumentedBackend recorded(volume, &recorder);
+  const auto resumed = solve(recorded, spec, 6, kN, kIters, "ck2", "ck");
   ASSERT_TRUE(resumed.completed);
+  // The restart's reads reach the backend; the field CRC is computed in
+  // memory and never does.
+  std::size_t store_ops = 0;
+  for (const auto& span : recorder.spans()) {
+    if (span.category != "store") {
+      continue;
+    }
+    ++store_ops;
+    const drms::obs::Attr* file = span.attr("file");
+    ASSERT_NE(file, nullptr);
+    EXPECT_EQ(file->text.find(".__fieldcrc.tmp"), std::string::npos)
+        << span.name << " " << file->text;
+  }
+  EXPECT_GT(store_ops, 0u);
   EXPECT_TRUE(resumed.outcome.restarted);
   EXPECT_EQ(resumed.outcome.start_iteration, 10);
   EXPECT_EQ(resumed.outcome.delta, 2);

@@ -438,12 +438,11 @@ struct DeltaSweepHarness {
       store.register_i64("it", &it);
       const std::array<DistArray*, 1> arrays{array.get()};
       DeltaOptions opts;
-      opts.enabled = true;
       opts.full_every_k = 4;
       opts.block_bytes = 512;
       DrmsCheckpoint engine(*stack.fault, {});
       (void)engine.write(ctx, prefix, "sweep", sop, store, arrays,
-                         tiny_segment(), nullptr, &opts, &chain);
+                         tiny_segment(), &opts, &chain);
     });
   }
 };

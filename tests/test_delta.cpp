@@ -1,15 +1,19 @@
 // Tests for block-level delta generations: the block codecs (known-answer
 // + property tests mirroring the CRC suite), the runtime dirty tracking,
-// the chained write/restore path, and the chain-aware catalog (GC keeps a
+// the chained write/restore path, the chain-aware catalog (GC keeps a
 // base alive while a kept delta depends on it; fsck reports a delta whose
-// base is gone as torn).
+// base is gone as torn), and `array_fingerprint`, the digest restores are
+// checked with (it equals a full generation's recorded stream CRC at any
+// task count).
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cstring>
+#include <functional>
 #include <string>
 #include <vector>
 
+#include "core/array_fingerprint.hpp"
 #include "core/checkpoint_catalog.hpp"
 #include "core/checkpoint_format.hpp"
 #include "core/delta_format.hpp"
@@ -28,6 +32,7 @@ using Volume = drms::test::TestVolume;
 using drms::rt::TaskContext;
 using drms::rt::TaskGroup;
 using drms::test::cube;
+using drms::test::fill_assigned_tagged;
 using drms::test::placement_of;
 using drms::test::tag_of;
 using support::BlockCodec;
@@ -266,12 +271,20 @@ TEST(DeltaTracking, CollectDirtyBlocksIsPrecise) {
   EXPECT_EQ(collect_dirty_blocks(array, plan.chunks).size(), 8u);
 }
 
-/// One-array app under delta mode: checkpoints at every even iteration
-/// under per-generation prefixes "<stem>.g<k>"; mutates one plane of the
-/// array each iteration through the precise write path.
+/// Two-array app under delta mode: checkpoints at every even iteration
+/// under per-generation prefixes "<stem>.g<k>" (or `prefix_of(it)`);
+/// mutates one plane of `u` each iteration through the precise write
+/// path and never touches `cold` after the first generation.
 struct DeltaApp {
   static void run(DrmsProgram& program, TaskContext& ctx, int iterations,
                   const std::string& stem) {
+    run(program, ctx, iterations, [&stem](std::int64_t it) {
+      return stem + ".g" + std::to_string(it);
+    });
+  }
+
+  static void run(DrmsProgram& program, TaskContext& ctx, int iterations,
+                  const std::function<std::string(std::int64_t)>& prefix_of) {
     DrmsContext drms(program, ctx);
     std::int64_t it = 0;
     drms.store().register_i64("it", &it);
@@ -297,7 +310,7 @@ struct DeltaApp {
 
     while (it < iterations) {
       if (it > 0 && it % 2 == 0) {
-        (void)drms.reconfig_checkpoint(stem + ".g" + std::to_string(it));
+        (void)drms.reconfig_checkpoint(prefix_of(it));
       }
       // Touch only the global z == 0 plane — a task-count-independent
       // mutation (each task scales whatever part of the plane it owns),
@@ -339,6 +352,30 @@ DrmsEnv delta_env(Volume& volume, int full_every_k,
   return env;
 }
 
+/// Run DeltaApp to 9 iterations (full_every_k=4, delta on or off,
+/// optionally restarting from `restart`) and return the digest of `u`.
+double run_app(Volume& volume, int tasks, bool delta,
+               const std::string& restart,
+               const std::function<std::string(std::int64_t)>& prefix_of =
+                   [](std::int64_t it) {
+                     return "dc.g" + std::to_string(it);
+                   }) {
+  DrmsEnv env = delta_env(volume, 4, restart);
+  env.delta = delta;
+  DrmsProgram program("dc", env, tiny_segment(), tasks);
+  TaskGroup group(placement_of(tasks));
+  double sum = 0.0;
+  const auto result = group.run([&](TaskContext& ctx) {
+    DeltaApp::run(program, ctx, 9, prefix_of);
+    const double d = digest(program, ctx, "u");
+    if (ctx.rank() == 0) {
+      sum = d;
+    }
+  });
+  EXPECT_TRUE(result.completed);
+  return sum;
+}
+
 TEST(DeltaChain, GenerationsAlternatePerPolicy) {
   Volume volume(16);
   DrmsProgram program("dc", delta_env(volume, 2), tiny_segment(), 4);
@@ -376,24 +413,6 @@ TEST(DeltaChain, GenerationsAlternatePerPolicy) {
 
 TEST(DeltaChain, RestartFromChainTipIsExactAcrossTaskCounts) {
   // Reference: same app, plain full dumps, run to completion.
-  const auto run_app = [&](Volume& volume, int tasks, bool delta,
-                           const std::string& restart) {
-    DrmsEnv env = delta_env(volume, 4, restart);
-    env.delta = delta;
-    DrmsProgram program("dc", env, tiny_segment(), tasks);
-    TaskGroup group(placement_of(tasks));
-    double sum = 0.0;
-    const auto result = group.run([&](TaskContext& ctx) {
-      DeltaApp::run(program, ctx, 9, "dc");
-      const double d = digest(program, ctx, "u");
-      if (ctx.rank() == 0) {
-        sum = d;
-      }
-    });
-    EXPECT_TRUE(result.completed);
-    return sum;
-  };
-
   Volume ref_volume(16);
   const double reference = run_app(ref_volume, 4, false, "");
 
@@ -494,6 +513,121 @@ TEST(DeltaChain, BrokenBaseMakesDeltaTorn) {
     }
   }
   EXPECT_TRUE(flagged);
+}
+
+TEST(DeltaChain, PrefixInLiveChainWritesFreshFullChain) {
+  // Checkpoints at it=2,4,6,8 go to a, b, a, c. Rewriting "a" while it
+  // is the live chain's base must not ride on the chain (the decommit
+  // would pull the base out from under "b"): it writes a full generation
+  // and starts a fresh chain that "c" then extends.
+  const auto prefix_of = [](std::int64_t it) -> std::string {
+    switch (it) {
+      case 2: return "pc.a";
+      case 4: return "pc.b";
+      case 6: return "pc.a";
+      default: return "pc.c";
+    }
+  };
+  Volume ref_volume(16);
+  const double reference = run_app(ref_volume, 4, false, "", prefix_of);
+
+  Volume volume(16);
+  (void)run_app(volume, 4, true, "", prefix_of);
+  const CheckpointMeta a = read_checkpoint_meta(volume, "pc.a");
+  EXPECT_EQ(a.kind, GenerationKind::kFull);
+  EXPECT_EQ(a.sop, 3);  // the rewrite, not the first generation
+  EXPECT_EQ(read_checkpoint_meta(volume, "pc.b").kind,
+            GenerationKind::kDelta);
+  const CheckpointMeta c = read_checkpoint_meta(volume, "pc.c");
+  EXPECT_EQ(c.kind, GenerationKind::kDelta);
+  EXPECT_EQ(c.base_prefix, "pc.a");
+  EXPECT_EQ(c.chain_depth, 1);  // fresh chain: a (full) -> c
+
+  // Both generations of the fresh chain restore exactly, at task counts
+  // other than the writer's.
+  EXPECT_EQ(run_app(volume, 3, true, "pc.c", prefix_of), reference);
+  EXPECT_EQ(run_app(volume, 5, true, "pc.a", prefix_of), reference);
+}
+
+TEST(ArrayFingerprint, StableAndSensitive) {
+  constexpr int kP = 4;
+  TaskGroup group(placement_of(kP));
+  DistArray array("u", cube(kN), sizeof(double), kP);
+  const auto result = group.run([&](TaskContext& ctx) {
+    if (ctx.rank() == 0) {
+      array.install_distribution(
+          DistSpec::block_auto(cube(kN), kP, std::vector<Index>(3, 1)));
+    }
+    ctx.barrier();
+    const Slice& mine = array.distribution().assigned(ctx.rank());
+    mine.for_each_column_major([&](std::span<const Index> p) {
+      array.local(ctx.rank()).set_f64(p, tag_of(p));
+    });
+    ctx.barrier();
+
+    const std::uint32_t fp1 = array_fingerprint(ctx, array);
+    const std::uint32_t fp2 = array_fingerprint(ctx, array);
+    EXPECT_EQ(fp1, fp2) << "fingerprint must be deterministic";
+
+    // Mutate one element on one task; the fingerprint must change for
+    // EVERY task (it is collective-identical).
+    if (ctx.rank() == 1) {
+      const Slice& assigned = array.distribution().assigned(1);
+      std::vector<Index> point;
+      for (int k = 0; k < assigned.rank(); ++k) {
+        point.push_back(assigned.range(k).first());
+      }
+      array.local(1).set_f64(point, -1234.5);
+    }
+    ctx.barrier();
+    const std::uint32_t fp3 = array_fingerprint(ctx, array);
+    EXPECT_NE(fp1, fp3);
+  });
+  EXPECT_TRUE(result.completed);
+}
+
+TEST(ArrayFingerprint, MatchesStreamCrcAcrossTaskCounts) {
+  // The digest is the CRC of the canonical stream a full generation
+  // writes: it equals the recorded stream_crc at the writing task count
+  // and again after a restore at a different one.
+  Volume volume(16);
+  const auto run = [&](int tasks, const std::string& restart) {
+    DrmsEnv env;
+    env.storage = &volume.backend();
+    env.restart_prefix = restart;
+    DrmsProgram program("fp", env, tiny_segment(), tasks);
+    TaskGroup group(placement_of(tasks));
+    std::uint32_t fp = 0;
+    const auto result = group.run([&](TaskContext& ctx) {
+      DrmsContext drms(program, ctx);
+      std::int64_t it = 0;
+      drms.store().register_i64("it", &it);
+      drms.initialize();
+      const std::array<Index, 3> lo{0, 0, 0};
+      const std::array<Index, 3> hi{kN - 1, kN - 1, kN - 1};
+      DistArray& u = drms.create_array("u", lo, hi);
+      drms.distribute(u, DistSpec::block_auto(cube(kN), ctx.size(),
+                                              std::vector<Index>(3, 1)));
+      if (!drms.restarted()) {
+        fill_assigned_tagged(u, ctx.rank());
+        ctx.barrier();
+        (void)drms.reconfig_checkpoint("fp.ck");
+      }
+      const std::uint32_t mine = array_fingerprint(ctx, u);
+      if (ctx.rank() == 0) {
+        fp = mine;
+      }
+    });
+    EXPECT_TRUE(result.completed);
+    return fp;
+  };
+
+  const std::uint32_t written = run(4, "");
+  const CheckpointMeta meta = read_checkpoint_meta(volume, "fp.ck");
+  ASSERT_EQ(meta.kind, GenerationKind::kFull);
+  const std::uint32_t stream_crc = meta.array("u").stream_crc;
+  EXPECT_EQ(written, stream_crc);
+  EXPECT_EQ(run(3, "fp.ck"), stream_crc);
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Sanitizer gate: configure a dedicated ASan+UBSan build tree, build
 # everything, and run the full test suite under the sanitizers. A full
-# (unbounded) run finishes with a Release (-O2) perf smoke: the data-plane
+# (unbounded) run finishes with a stock Release (-O3) build of every
+# target and a Release (-O2) perf smoke: the data-plane
 # micro-benchmark must still clear its CRC speedup gate at optimized
 # codegen, so a dispatch or kernel regression fails CI, not just a chart.
 #
@@ -120,6 +121,16 @@ if [[ -n "${CHAOS:-}" ]]; then
   (cd "${build}/bench" &&
    ./bench_availability_model --chaos "${CHAOS_SCHEDULES:-32}" "${CHAOS_SEED:-1}")
   echo "check.sh: recovery chaos campaign passed (${CHAOS_SCHEDULES:-32} schedules)"
+fi
+
+# Stock Release build (skipped for TARGETS-bounded runs): every target
+# must compile at -O3 with the project's -Werror warning set, which catches
+# diagnostics (e.g. GCC's -Wrestrict) that only fire at that level.
+if [[ -z "${TARGETS:-}" && -z "${tsan}" ]]; then
+  release_build="${build}-release"
+  cmake -B "${release_build}" -S "${repo}" -DCMAKE_BUILD_TYPE=Release
+  cmake --build "${release_build}" -j "${jobs}"
+  echo "check.sh: stock Release (-O3) build passed"
 fi
 
 # Perf smoke (skipped for TARGETS-bounded runs, e.g. the asan_gate test):
