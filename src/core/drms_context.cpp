@@ -1,6 +1,7 @@
 #include "core/drms_context.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <utility>
 
 #include "adapt/controller.hpp"
@@ -19,6 +20,64 @@ DrmsProgram::DrmsProgram(std::string app_name, DrmsEnv env,
       task_count_(task_count) {
   DRMS_EXPECTS(env_.storage != nullptr);
   DRMS_EXPECTS(task_count_ >= 1);
+}
+
+void DrmsProgram::enable_checkpoint(std::function<void()> on_held) {
+  const std::lock_guard<std::mutex> lock(signal_mutex_);
+  checkpoint_enabled_ = true;
+  if (on_held != nullptr) {
+    on_held_ = std::move(on_held);
+  }
+}
+
+bool DrmsProgram::release_hold() {
+  {
+    const std::lock_guard<std::mutex> lock(signal_mutex_);
+    if (held_ && parked_ == task_count_) {
+      return false;
+    }
+    checkpoint_enabled_ = false;
+    on_held_ = nullptr;
+    held_ = false;
+  }
+  signal_cv_.notify_all();
+  return true;
+}
+
+std::pair<bool, bool> DrmsProgram::take_enabling_signal() {
+  const std::lock_guard<std::mutex> lock(signal_mutex_);
+  const bool checkpoint = std::exchange(checkpoint_enabled_, false);
+  held_ = checkpoint && on_held_ != nullptr;
+  parked_ = 0;
+  return {checkpoint, held_};
+}
+
+void DrmsProgram::park(const rt::TaskContext& ctx) {
+  std::function<void()> on_held;
+  {
+    const std::lock_guard<std::mutex> lock(signal_mutex_);
+    if (!held_) {
+      return;  // lifted before this task got here
+    }
+    if (++parked_ == task_count_) {
+      on_held = std::move(on_held_);
+      on_held_ = nullptr;
+    }
+  }
+  if (on_held != nullptr) {
+    on_held();
+    signal_cv_.notify_all();  // the kill has landed: wake every parker
+  }
+  // A kill raised elsewhere (a processor failure) does not signal this
+  // condition, so the wait re-checks the kill switch every millisecond.
+  std::unique_lock<std::mutex> lock(signal_mutex_);
+  for (;;) {
+    ctx.check_killed();
+    if (!held_) {
+      return;
+    }
+    signal_cv_.wait_for(lock, std::chrono::milliseconds(1));
+  }
 }
 
 CheckpointTiming DrmsProgram::last_checkpoint_timing() const {
@@ -443,19 +502,27 @@ ReconfigResult DrmsContext::reconfig_chkenable(const std::string& prefix) {
     return ReconfigResult{CheckpointStatus::kRestarted, delta(), false};
   }
   // Collective decision: rank 0 samples-and-clears the enabling signal and
-  // broadcasts it, so either every task checkpoints or none does.
+  // its hold and broadcasts both, so either every task checkpoints (and
+  // parks) or none does.
   ctx_.barrier();
   support::ByteBuffer decision;
   if (ctx_.rank() == 0) {
-    const bool enabled = program_.checkpoint_enabled_.exchange(false);
-    decision.put_bool(enabled);
+    const auto [checkpoint, hold] = program_.take_enabling_signal();
+    decision.put_bool(checkpoint);
+    decision.put_bool(hold);
   }
   rt::broadcast(ctx_, decision, 0);
   decision.rewind();
-  if (!decision.get_bool()) {
+  const bool checkpoint = decision.get_bool();
+  const bool hold = decision.get_bool();
+  if (!checkpoint) {
     return ReconfigResult{CheckpointStatus::kContinued, 0, false};
   }
-  return do_checkpoint(prefix);
+  const ReconfigResult result = do_checkpoint(prefix);
+  if (hold) {
+    program_.park(ctx_);
+  }
+  return result;
 }
 
 bool DrmsContext::need_checkpoint() {

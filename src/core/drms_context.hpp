@@ -26,11 +26,14 @@
 #pragma once
 
 #include <atomic>
+#include <condition_variable>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/drms_checkpoint.hpp"
@@ -140,7 +143,20 @@ class DrmsProgram {
   /// System-initiated checkpointing: arm the enabling signal; the next
   /// reconfig_chkenable() call in the application will take a checkpoint
   /// and consume the signal. Thread-safe (called by the JSA/RC side).
-  void enable_checkpoint() { checkpoint_enabled_.store(true); }
+  ///
+  /// Given `on_held`, that SOP also holds the job (the JSA's preemption
+  /// handshake, DESIGN.md §4b): after the commit every task parks,
+  /// kill-aware; the last task to park runs `on_held` once, and the tasks
+  /// stay parked until the group is killed or release_hold() lifts the
+  /// hold. `on_held` is expected to kill the group (it must not call back
+  /// into this program). A later hold replaces an earlier one's action.
+  void enable_checkpoint(std::function<void()> on_held = nullptr);
+
+  /// Lift a hold armed by enable_checkpoint(on_held) and disarm the
+  /// signal; parked tasks resume. Returns false, changing nothing, when
+  /// every task has already parked (on_held has run or is running).
+  /// Thread-safe.
+  bool release_hold();
 
   /// Timings of the last checkpoint/restart (valid after the run; every
   /// task observed identical values thanks to barrier clock sync).
@@ -161,9 +177,24 @@ class DrmsProgram {
   AppSegmentModel segment_model_;
   int task_count_;
 
+  /// Rank 0 at an enabling SOP: sample and clear the signal. The second
+  /// flag is true when the SOP also holds the job (parking begins).
+  std::pair<bool, bool> take_enabling_signal();
+  /// Every task of a held SOP, after the commit: park until the group is
+  /// killed (throws TaskKilled) or the hold is lifted.
+  void park(const rt::TaskContext& ctx);
+
   mutable std::mutex mutex_;
   std::vector<std::unique_ptr<DistArray>> arrays_;
-  std::atomic<bool> checkpoint_enabled_{false};
+  /// The enabling signal and its hold, under one lock so that rank 0
+  /// samples both at once. A non-null on_held_ means a hold is armed;
+  /// held_ means an SOP took it and parked_ tasks are parked.
+  std::mutex signal_mutex_;
+  std::condition_variable signal_cv_;
+  bool checkpoint_enabled_ = false;
+  std::function<void()> on_held_;
+  bool held_ = false;
+  int parked_ = 0;
   std::atomic<int> checkpoints_written_{0};
   CheckpointTiming last_checkpoint_;
   RestartTiming last_restart_;
@@ -219,7 +250,9 @@ class DrmsContext {
   ReconfigResult reconfig_checkpoint(const std::string& prefix);
 
   /// drms_reconfig_chkenable: checkpoint only if the system has armed the
-  /// enabling signal (DrmsProgram::enable_checkpoint). COLLECTIVE.
+  /// enabling signal (DrmsProgram::enable_checkpoint). When the signal
+  /// carries a hold, every task parks after the commit and the call
+  /// returns only if the hold is lifted. COLLECTIVE.
   ReconfigResult reconfig_chkenable(const std::string& prefix);
 
   /// The SCR idiom (drms_need_checkpoint): should the application take a

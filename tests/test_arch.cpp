@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <latch>
 #include <thread>
 
 #include "apps/solver.hpp"
@@ -439,6 +440,246 @@ TEST(JobScheduler, DrainNodeEvictsAndFailsIt) {
   EXPECT_EQ(log.count(EventKind::kNodeDrained), 1);
   cluster.repair_node(drained_node);
   EXPECT_TRUE(cluster.node_up(drained_node));
+}
+
+/// Holds a job's first make_program call until another thread has acted
+/// on the job, which opens the launch window (processors allocated, no
+/// program yet) deterministically.
+struct LaunchGate {
+  std::latch launching{1};
+  std::latch open{1};
+  std::atomic<bool> first{true};
+
+  void wrap(JobDescriptor& job) {
+    job.make_program = [this, make = job.make_program](DrmsEnv env,
+                                                       int tasks) {
+      if (first.exchange(false)) {
+        launching.count_down();
+        open.wait();
+      }
+      return make(env, tasks);
+    };
+  }
+};
+
+TEST(JobScheduler, CheckpointRequestReachesAJobStillLaunching) {
+  EventLog log;
+  Cluster cluster(Machine::paper_sp16(), &log);
+  JobScheduler jsa(cluster, &log);
+  Volume volume(16);
+
+  SolverOptions options;
+  options.spec = AppSpec::lu();
+  options.n = 8;
+  options.iterations = 8;
+  options.checkpoint_every = 3;
+  options.prefix = "launch.lu";
+  options.use_chkenable = true;
+  options.compute_field_crc = false;
+  auto slot = std::make_shared<SolverOutcome>();
+  JobDescriptor job = solver_job(volume, options, slot, 3);
+  LaunchGate gate;
+  gate.wrap(job);
+
+  bool requested = false;
+  std::thread requester([&] {
+    gate.launching.wait();
+    requested = jsa.request_checkpoint("LU");
+    gate.open.count_down();
+  });
+  const JobOutcome outcome = jsa.run_job(job);
+  requester.join();
+
+  EXPECT_TRUE(requested);
+  EXPECT_TRUE(outcome.completed);
+  ASSERT_EQ(outcome.attempts.size(), 1u);
+  // Registration handed the pending signal to the program; the first
+  // enabling SOP (it=3) consumed it.
+  EXPECT_EQ(slot->checkpoints_written, 1);
+  EXPECT_TRUE(drms::core::checkpoint_exists(volume, "launch.lu"));
+}
+
+TEST(JobScheduler, DrainNodeEvictsAJobStillLaunching) {
+  EventLog log;
+  Cluster cluster(Machine::paper_sp16(), &log);
+  JobScheduler jsa(cluster, &log);
+  Volume volume(16);
+
+  SolverOptions options;
+  options.spec = AppSpec::bt();
+  options.n = 8;
+  options.iterations = 12;
+  options.checkpoint_every = 4;
+  options.prefix = "launch.bt";
+  options.use_chkenable = true;
+  options.compute_field_crc = false;
+  auto slot = std::make_shared<SolverOutcome>();
+  JobDescriptor job = solver_job(volume, options, slot, 4);
+  job.restart_from_latest = true;
+  LaunchGate gate;
+  gate.wrap(job);
+
+  int drained_node = -1;
+  bool drained = false;
+  std::thread maintenance([&] {
+    gate.launching.wait();
+    drained_node = cluster.nodes_of("BT")[1];
+    drained = jsa.drain_node(drained_node, volume, "launch.bt", 0);
+    gate.open.count_down();
+  });
+  const JobOutcome outcome = jsa.run_job(job);
+  maintenance.join();
+
+  EXPECT_TRUE(drained);
+  EXPECT_FALSE(cluster.node_up(drained_node));
+  EXPECT_EQ(log.count(EventKind::kNodeDrained), 1);
+  EXPECT_TRUE(outcome.completed);
+  ASSERT_EQ(outcome.attempts.size(), 2u);
+  EXPECT_TRUE(outcome.attempts[0].killed);
+  EXPECT_NE(outcome.attempts[0].kill_reason.find("preempted"),
+            std::string::npos);
+  // The held signal reached the program: it checkpointed at its first
+  // enabling SOP and the relaunch resumed there.
+  EXPECT_TRUE(outcome.attempts[1].from_checkpoint);
+  EXPECT_EQ(slot->start_iteration, 4);
+}
+
+TEST(JobScheduler, DrainNodeFailsANodeHeldOutsideTheJsa) {
+  EventLog log;
+  Cluster cluster(Machine::paper_sp16(), &log);
+  JobScheduler jsa(cluster, &log);
+  Volume volume(16);
+  const std::vector<int> nodes = cluster.allocate(1, 2, "hog");
+  ASSERT_EQ(nodes.size(), 2u);
+
+  EXPECT_TRUE(jsa.drain_node(nodes[0], volume, "hog", 0));
+  EXPECT_FALSE(cluster.node_up(nodes[0]));
+  EXPECT_TRUE(cluster.node_up(nodes[1]));
+  EXPECT_EQ(log.count(EventKind::kNodeDrained), 1);
+}
+
+TEST(JobScheduler, PreemptionHoldsTheJobAtItsEnablingSop) {
+  EventLog log;
+  Cluster cluster(Machine::paper_sp16(), &log);
+  JobScheduler jsa(cluster, &log);
+  Volume volume(16);
+
+  // The only enabling SOP is the last but one iteration: a job left
+  // running past it would finish before any kill could land.
+  constexpr std::int64_t kSop = 8;
+  SolverOptions options;
+  options.spec = AppSpec::sp();
+  options.n = 8;
+  options.iterations = static_cast<int>(kSop) + 2;
+  options.checkpoint_every = static_cast<int>(kSop);
+  options.prefix = "hold.sp";
+  options.use_chkenable = true;
+  options.compute_field_crc = false;
+  std::latch reached{1};
+  std::atomic<bool> first{true};
+  std::atomic<int> ran_past_sop{0};
+  // Rank 0 waits just before the SOP until the preemption has armed the
+  // signal, so the SOP is the one that takes it.
+  options.on_iteration = [&](std::int64_t it, drms::rt::TaskContext& ctx) {
+    if (ctx.rank() != 0) {
+      return;
+    }
+    if (it == kSop) {
+      ++ran_past_sop;
+    }
+    if (it == kSop - 1 && first.exchange(false)) {
+      reached.count_down();
+      while (log.count(EventKind::kCheckpointRequested) == 0) {
+        ctx.check_killed();
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    }
+  };
+  auto slot = std::make_shared<SolverOutcome>();
+  JobDescriptor job = solver_job(volume, options, slot, 4);
+  job.restart_from_latest = true;
+  // Checkpoints the killed attempt had finished when the kill reached
+  // rank 0: a kill landing before the SOP returned leaves it at 0.
+  std::atomic<int> killed_after_checkpoints{-1};
+  job.body = [body = job.body, &killed_after_checkpoints](
+                 drms::core::DrmsProgram& program,
+                 drms::rt::TaskContext& ctx) {
+    try {
+      body(program, ctx);
+    } catch (const drms::support::TaskKilled&) {
+      if (ctx.rank() == 0) {
+        killed_after_checkpoints = program.checkpoints_written();
+      }
+      throw;
+    }
+  };
+
+  bool preempted = false;
+  std::thread scheduler_thread([&] {
+    reached.wait();
+    preempted = jsa.preempt_job("SP", volume, "hold.sp", 0);
+  });
+  const JobOutcome outcome = jsa.run_job(job);
+  scheduler_thread.join();
+
+  EXPECT_TRUE(preempted);
+  EXPECT_TRUE(outcome.completed);
+  ASSERT_EQ(outcome.attempts.size(), 2u);
+  EXPECT_TRUE(outcome.attempts[0].killed);
+  EXPECT_NE(outcome.attempts[0].kill_reason.find("preempted"),
+            std::string::npos);
+  EXPECT_TRUE(outcome.attempts[1].from_checkpoint);
+  EXPECT_TRUE(slot->restarted);
+  EXPECT_EQ(slot->start_iteration, kSop);
+  // The held attempt completed its SOP and was killed there, parked: it
+  // never ran past it; only the relaunch did.
+  EXPECT_EQ(killed_after_checkpoints.load(), 1);
+  EXPECT_EQ(ran_past_sop.load(), 1);
+  EXPECT_EQ(log.count(EventKind::kJobPreempted), 1);
+}
+
+TEST(JobScheduler, PreemptionTimeoutLiftsTheHoldAndDisarms) {
+  EventLog log;
+  Cluster cluster(Machine::paper_sp16(), &log);
+  JobScheduler jsa(cluster, &log);
+  Volume volume(16);
+
+  SolverOptions options;
+  options.spec = AppSpec::lu();
+  options.n = 8;
+  options.iterations = 8;
+  options.checkpoint_every = 4;
+  options.prefix = "timeout.lu";
+  options.use_chkenable = true;
+  options.compute_field_crc = false;
+  std::latch reached{1};
+  std::latch returned{1};
+  // Rank 0 stays before the it=4 SOP until preempt_job has given up, so
+  // no task can park in time.
+  options.on_iteration = [&](std::int64_t it, drms::rt::TaskContext& ctx) {
+    if (it == 2 && ctx.rank() == 0) {
+      reached.count_down();
+      returned.wait();
+    }
+  };
+  auto slot = std::make_shared<SolverOutcome>();
+  const JobDescriptor job = solver_job(volume, options, slot, 3);
+
+  bool preempted = true;
+  std::thread scheduler_thread([&] {
+    reached.wait();
+    preempted = jsa.preempt_job("LU", volume, "timeout.lu", 0, 50);
+    returned.count_down();
+  });
+  const JobOutcome outcome = jsa.run_job(job);
+  scheduler_thread.join();
+
+  EXPECT_FALSE(preempted);
+  EXPECT_TRUE(outcome.completed);
+  ASSERT_EQ(outcome.attempts.size(), 1u);
+  // The timed-out request was disarmed: the SOP after it took nothing.
+  EXPECT_EQ(slot->checkpoints_written, 0);
+  EXPECT_EQ(log.count(EventKind::kJobPreempted), 0);
 }
 
 TEST(Uic, FacadeWiresEverything) {

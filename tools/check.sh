@@ -24,9 +24,9 @@
 # TSAN=1 switches from ASan/UBSan to ThreadSanitizer (default build dir:
 # build-tsan) and, unless TARGETS/CTEST_ARGS narrow it, bounds the run to
 # the concurrency-heavy suites: the I/O scheduler (svc), the tiered-store
-# drain/restore races, the pipelined streamer, the recorder, and the
-# recovery supervisor. The perf smoke is skipped — TSan throughput is
-# meaningless.
+# drain/restore races, the pipelined streamer, the recorder, the
+# recovery supervisor, and the JSA's preemption handshake. The perf
+# smoke is skipped — TSan throughput is meaningless.
 #
 # CHAOS=1 appends a recovery chaos campaign after the test run: the
 # availability bench's --chaos mode replays CHAOS_SCHEDULES (default 32)
@@ -52,8 +52,8 @@ if [[ -n "${tsan}" ]]; then
   # TSan mode defaults to the scheduler/drain race suites; an explicit
   # TARGETS/CTEST_ARGS pair overrides the bound.
   if [[ -z "${TARGETS:-}" && -z "${CTEST_ARGS:-}" ]]; then
-    TARGETS="test_svc test_store test_streamer test_obs test_recovery test_partial_recovery test_redundancy test_delta test_adapt"
-    CTEST_ARGS="-R Svc|IoScheduler|TieredBackend|Streamer|Obs|Recovery|Redundan|Delta|Partial|StreamRuns|Adapt"
+    TARGETS="test_svc test_store test_streamer test_obs test_recovery test_partial_recovery test_redundancy test_delta test_adapt test_arch"
+    CTEST_ARGS="-R Svc|IoScheduler|TieredBackend|Streamer|Obs|Recovery|Redundan|Delta|Partial|StreamRuns|Adapt|JobScheduler"
   fi
 fi
 
