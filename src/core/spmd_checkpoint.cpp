@@ -24,30 +24,7 @@ support::RetryPolicy SpmdCheckpoint::retry_policy(const char* what) const {
   support::RetryPolicy policy;
   policy.observer = recorder_;
   policy.what = what;
-  if (io_session_active()) {
-    policy.jitter_seed = io_job_->id();
-  }
   return policy;
-}
-
-void SpmdCheckpoint::submit_io(const std::string& file, std::uint64_t bytes,
-                               std::function<void()> fn) {
-  if (!io_session_active()) {
-    fn();
-    return;
-  }
-  const double sim_seconds =
-      storage_.charges_time()
-          ? storage_.single_write_seconds(bytes, load_, nullptr)
-          : 0.0;
-  (void)io_->submit(*io_job_, svc::Priority::kForeground, file, bytes,
-                    sim_seconds, std::move(fn));
-}
-
-void SpmdCheckpoint::io_barrier() {
-  if (io_session_active()) {
-    io_->barrier(*io_job_);
-  }
 }
 
 CheckpointTiming SpmdCheckpoint::write(rt::TaskContext& ctx,
@@ -73,23 +50,10 @@ CheckpointTiming SpmdCheckpoint::write(rt::TaskContext& ctx,
   // the other tasks back until the old manifest is gone. The barrier is
   // timing-neutral: no simulated time is charged before it, so every
   // task's clock is still t0.
-  struct DrainOnUnwind {
-    SpmdCheckpoint* self;
-    ~DrainOnUnwind() {
-      try {
-        self->io_barrier();
-      } catch (...) {  // NOLINT(bugprone-empty-catch)
-      }
-    }
-  } drain_on_unwind{this};
-
   if (ctx.rank() == 0) {
     obs::ScopedSpan decommit_span(recorder_, "spmd", "decommit", 0, t0);
-    submit_io(commit_file_name(prefix), 0, [this, &prefix] {
-      support::retry_io([&] { decommit_checkpoint(storage_, prefix); },
-                        retry_policy("decommit"));
-    });
-    io_barrier();  // the old manifest must be gone before anyone writes
+    support::retry_io([&] { decommit_checkpoint(storage_, prefix); },
+                      retry_policy("decommit"));
     decommit_span.end(ctx.sim_time());
   }
   ctx.barrier();
@@ -117,36 +81,22 @@ CheckpointTiming SpmdCheckpoint::write(rt::TaskContext& ctx,
   obs::ScopedSpan segment_span(
       recorder_, "spmd", "segment", ctx.rank(), ctx.sim_time(),
       {obs::Attr::num("bytes", static_cast<std::int64_t>(total_bytes))});
-  // This rank's whole task-segment sequence is ONE queued item, sharded
-  // by its private file name: with a session attached, independent ranks'
-  // segments land on independent shard queues and overlap.
   const std::string task_file_name = spmd_task_file_name(prefix, ctx.rank());
   support::ByteBuffer head;
   head.put_u64(body.size());
   head.put_u32(crc);
-  submit_io(task_file_name, total_bytes,
-            [this, task_file_name, &head, &body, total_bytes, payload_end] {
-              store::FileHandle file = support::retry_io(
-                  [&] { return storage_.create(task_file_name); },
-                  retry_policy("segment.create"));
-              support::retry_io([&] { file.write_at(0, head.bytes()); },
-                                retry_policy("segment.write"));
-              support::retry_io(
-                  [&] { file.write_at(head.size(), body.bytes()); },
-                  retry_policy("segment.write"));
-              if (total_bytes > payload_end) {
-                support::retry_io(
-                    [&] {
-                      file.write_zeros_at(payload_end,
-                                          total_bytes - payload_end);
-                    },
+  store::FileHandle file =
+      support::retry_io([&] { return storage_.create(task_file_name); },
+                        retry_policy("segment.create"));
+  support::retry_io([&] { file.write_at(0, head.bytes()); },
                     retry_policy("segment.write"));
-              }
-            });
-  // Explicit completion barrier: the publication below reads every task
-  // file's size, so each rank drains the job before the collective
-  // barrier — once all ranks pass it, every queued segment is durable.
-  io_barrier();
+  support::retry_io([&] { file.write_at(head.size(), body.bytes()); },
+                    retry_policy("segment.write"));
+  if (total_bytes > payload_end) {
+    support::retry_io(
+        [&] { file.write_zeros_at(payload_end, total_bytes - payload_end); },
+        retry_policy("segment.write"));
+  }
   segment_span.end(ctx.sim_time());
 
   // Every task file must be durable before task 0 publishes the state;
@@ -181,32 +131,23 @@ CheckpointTiming SpmdCheckpoint::write(rt::TaskContext& ctx,
     {
       obs::ScopedSpan meta_span(recorder_, "spmd", "meta", 0,
                                 ctx.sim_time());
-      submit_io(spmd_meta_file_name(prefix), meta_buf.size(),
-                [this, &prefix, &meta_buf] {
-                  support::retry_io(
-                      [&] {
-                        storage_.create(spmd_meta_file_name(prefix))
-                            .write_at(0, meta_buf.bytes());
-                      },
-                      retry_policy("meta.write"));
-                });
+      support::retry_io(
+          [&] {
+            storage_.create(spmd_meta_file_name(prefix))
+                .write_at(0, meta_buf.bytes());
+          },
+          retry_policy("meta.write"));
       meta_span.end(ctx.sim_time());
     }
     obs::ScopedSpan commit_span(recorder_, "spmd", "commit", 0,
                                 ctx.sim_time());
-    // Manifest-last: every queued write (meta included) completes before
-    // the commit manifest is even submitted.
-    io_barrier();
-    submit_io(commit_file_name(prefix), manifest_buf.size(),
-              [this, &prefix, &manifest_buf] {
-                support::retry_io(
-                    [&] {
-                      storage_.create(commit_file_name(prefix))
-                          .write_at(0, manifest_buf.bytes());
-                    },
-                    retry_policy("commit.write"));
-              });
-    io_barrier();
+    // Manifest-last: the commit manifest is the final write.
+    support::retry_io(
+        [&] {
+          storage_.create(commit_file_name(prefix))
+              .write_at(0, manifest_buf.bytes());
+        },
+        retry_policy("commit.write"));
     commit_span.end(ctx.sim_time());
   }
   // Modeled (not charged) publication cost; see CheckpointTiming — kept

@@ -61,33 +61,13 @@ class SpmdCheckpoint {
   void restore_array_from(SpmdRestoreCursor& cursor, DistArray& array,
                           int rank) const;
 
-  /// Attach a checkpoint-service session (see DrmsCheckpoint): each
-  /// rank's task-segment write becomes one queued FOREGROUND item sharded
-  /// by its file name, so independent ranks overlap across shards; every
-  /// rank drains the job with an explicit completion barrier before the
-  /// collective barrier that precedes publication, preserving the
-  /// manifest-last ordering (the manifest reads every task file's size).
-  void attach_io_session(svc::IoScheduler* scheduler,
-                         const svc::JobToken* job) {
-    io_ = scheduler;
-    io_job_ = job;
-  }
-
  private:
   [[nodiscard]] support::RetryPolicy retry_policy(const char* what) const;
-  [[nodiscard]] bool io_session_active() const {
-    return io_ != nullptr && io_job_ != nullptr && io_job_->valid();
-  }
-  void submit_io(const std::string& file, std::uint64_t bytes,
-                 std::function<void()> fn);
-  void io_barrier();
 
   store::StorageBackend& storage_;
   sim::LoadContext load_;
   bool jitter_;
   obs::Recorder* recorder_;
-  svc::IoScheduler* io_ = nullptr;
-  const svc::JobToken* io_job_ = nullptr;
 };
 
 }  // namespace drms::core

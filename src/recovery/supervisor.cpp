@@ -79,14 +79,6 @@ RecoveryReport RecoverySupervisor::run(const SupervisorOptions& options,
   const bool spmd = options.env.mode == core::CheckpointMode::kSpmd;
   obs::Recorder* rec = options.recorder;
 
-  // Checkpoint-service session (optional): the supervisor is one job of
-  // the shared scheduler, so its verify reads queue at RESTORE priority.
-  svc::IoScheduler* io = options.scheduler;
-  svc::JobToken io_job;
-  if (io != nullptr) {
-    io_job = io->register_job(options.job_name + ".recovery");
-  }
-
   RecoveryReport report;
   std::set<std::string> suspects;  // generations whose restore errored
   std::vector<char> fired(schedule.events.size(), 0);
@@ -247,13 +239,6 @@ RecoveryReport RecoverySupervisor::run(const SupervisorOptions& options,
     }
 
     // ---- verify: deep-check the newest, fall back across generations -------
-    // With a scheduler, drains are parked from here until the relaunched
-    // solver's first iteration: the restore path must never queue behind
-    // background tier traffic.
-    auto restore_guard = std::make_shared<svc::IoScheduler::RestoreGuard>();
-    if (io != nullptr && is_restart) {
-      *restore_guard = io->preempt_drains();
-    }
     obs::ScopedSpan verify_span(rec, "recover", "verify", -1, -1.0);
     const core::CheckpointRecord* chosen = nullptr;
     for (const auto& c : candidates) {
@@ -267,15 +252,8 @@ RecoveryReport RecoverySupervisor::run(const SupervisorOptions& options,
         }
         continue;  // escalating SOP rollback past a failed restore
       }
-      core::VerifyResult v;
-      if (io != nullptr) {
-        // RESTORE-class item: beats queued foreground writes and drains.
-        io->submit(io_job, svc::Priority::kRestore, c.prefix, 0, 0.0, [&] {
-            v = core::verify_checkpoint(storage, c, /*deep=*/true);
-          }).wait();
-      } else {
-        v = core::verify_checkpoint(storage, c, /*deep=*/true);
-      }
+      const core::VerifyResult v =
+          core::verify_checkpoint(storage, c, /*deep=*/true);
       if (!v.ok) {
         ++lr.generations_skipped;
         if (rec != nullptr) {
@@ -410,8 +388,6 @@ RecoveryReport RecoverySupervisor::run(const SupervisorOptions& options,
           plan.slot_lost[static_cast<std::size_t>(s)] = 1;
         }
       }
-      plan.io = io;
-      plan.io_job = io != nullptr ? &io_job : nullptr;
       if (rec != nullptr) {
         rec->count("recover.partial.attempted");
       }
@@ -436,8 +412,7 @@ RecoveryReport RecoverySupervisor::run(const SupervisorOptions& options,
     fatal_event_ns.store(-1);
     first_hook_ns.store(-1);
     const Clock::time_point launch_tp = Clock::now();
-    sopts.on_iteration = [&, launch, restore_guard](std::int64_t it,
-                                                    rt::TaskContext& ctx) {
+    sopts.on_iteration = [&, launch](std::int64_t it, rt::TaskContext& ctx) {
       // Resume marker: the relaunched solver reached its first iteration
       // (restore + redistribution done).
       std::int64_t unset = -1;
@@ -445,9 +420,6 @@ RecoveryReport RecoverySupervisor::run(const SupervisorOptions& options,
           unset,
           static_cast<std::int64_t>(ns_between(epoch, Clock::now())));
       if (ctx.rank() == 0) {
-        // The job is back up: background drains may flow again. Idempotent
-        // and rank-0-only, so the release is single-threaded.
-        restore_guard->release();
         // Retention first (the SOP of this iteration has committed), then
         // the schedule's chaos events for this launch.
         if (it > 0 && options.solver.checkpoint_every > 0 &&
@@ -502,9 +474,6 @@ RecoveryReport RecoverySupervisor::run(const SupervisorOptions& options,
     resume_span.end(-1.0);
     cluster_.deregister_pool(options.job_name);
     cluster_.release(options.job_name);
-    // All tasks have joined; if the first hook never fired (the launch
-    // died during restore) the guard is still held — drop it now.
-    restore_guard->release();
 
     if (have_pending) {
       // Resume cost of the recovery that produced THIS launch: launch to

@@ -39,7 +39,6 @@
 #include "recovery/reconfig_policy.hpp"
 #include "store/fault_injection_backend.hpp"
 #include "store/redundancy.hpp"
-#include "svc/io_scheduler.hpp"
 
 namespace drms::recovery {
 
@@ -84,13 +83,6 @@ struct SupervisorOptions {
   /// as env.storage); null disables those events.
   store::FaultInjectionBackend* fault = nullptr;
   obs::Recorder* recorder = nullptr;
-  /// Optional checkpoint-service scheduler. When set, the supervisor
-  /// registers as a job, submits each deep verify as a RESTORE-class item
-  /// (restores beat queued foreground writes and drains), and holds a
-  /// RestoreGuard from the start of verify until the relaunched solver's
-  /// first iteration hook — background tier drains are parked for the
-  /// whole bring-back-up window instead of contending with it.
-  svc::IoScheduler* scheduler = nullptr;
   /// Fired after a kNodeLoss schedule event lands, with the failed node's
   /// id. Harness hook for coupling the cluster to a redundancy-encoded
   /// fast tier (RedundantBackend::fail_node + TieredBackend::

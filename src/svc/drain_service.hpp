@@ -2,8 +2,7 @@
 // IoScheduler as DRAIN-class items (one item per file, sharded by file
 // name). Unlike the synchronous TieredBackend::drain() sweep, a queued
 // drain yields between files: a restore submitted while the backlog
-// flushes preempts at every file boundary, and a RestoreGuard parks the
-// remaining backlog entirely until recovery finishes.
+// flushes preempts at every file boundary.
 #pragma once
 
 #include <memory>
@@ -80,10 +79,9 @@ class EncodeTicket {
 
 /// Snapshot the fast tier's staged-but-unencoded work list and queue one
 /// DRAIN-class item per file (fragment encoding is background protection
-/// traffic: it yields to restores and foreground checkpoints, and a
-/// RestoreGuard parks it with the drains). Items race benignly with
-/// writers and GC — a file encoded, re-created, or removed in the
-/// meantime drops out of the report.
+/// traffic: it yields to restores and foreground checkpoints). Items race
+/// benignly with writers and GC — a file encoded, re-created, or removed
+/// in the meantime drops out of the report.
 EncodeTicket submit_encode(IoScheduler& scheduler, const JobToken& job,
                            store::RedundantBackend& backend,
                            const sim::LoadContext& load = {});

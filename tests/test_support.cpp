@@ -379,32 +379,11 @@ TEST(Errors, TaskKilledIsNotAnError) {
 }
 
 TEST(Retry, DefaultPolicyKeepsTheExactLegacyBackoffSequence) {
-  RetryPolicy policy;  // jitter_seed == 0, no total budget
+  RetryPolicy policy;  // no total budget
   using std::chrono::microseconds;
   EXPECT_EQ(retry_backoff(policy, 1), microseconds(50));
   EXPECT_EQ(retry_backoff(policy, 2), microseconds(100));
   EXPECT_EQ(retry_backoff(policy, 3), microseconds(200));
-}
-
-TEST(Retry, SeededJitterIsDeterministicAndBounded) {
-  RetryPolicy policy;
-  policy.jitter_seed = 7;
-  for (int attempt = 1; attempt <= 4; ++attempt) {
-    const auto step = RetryPolicy{}.backoff_base * (1 << (attempt - 1));
-    const auto jittered = retry_backoff(policy, attempt);
-    // Drawn from [step/2, step], and a pure function of (seed, attempt).
-    EXPECT_GE(jittered, step / 2) << attempt;
-    EXPECT_LE(jittered, step) << attempt;
-    EXPECT_EQ(jittered, retry_backoff(policy, attempt)) << attempt;
-  }
-  // Distinct seeds desynchronize: at least one attempt must differ.
-  RetryPolicy other = policy;
-  other.jitter_seed = 8;
-  bool any_differ = false;
-  for (int attempt = 1; attempt <= 4; ++attempt) {
-    any_differ |= retry_backoff(policy, attempt) != retry_backoff(other, attempt);
-  }
-  EXPECT_TRUE(any_differ);
 }
 
 TEST(Retry, RetriesTransientsUpToTheAttemptBudget) {
