@@ -280,8 +280,8 @@ struct CampaignRow {
 
 /// One node-loss-before-drain trial of the redundant fast tier. The
 /// cluster maps its processors one-to-one onto the fast tier's store
-/// nodes (arch/placement.hpp), so a kNodeLoss schedule event takes the
-/// storage down with the processor.
+/// nodes, so a kNodeLoss schedule event takes the storage down with the
+/// processor.
 struct ScavengeRow {
   std::string scheme;
   std::string scenario;  // "scavenge" or "piofs_fallback"

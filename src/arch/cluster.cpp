@@ -1,5 +1,7 @@
 #include "arch/cluster.hpp"
 
+#include <utility>
+
 #include "support/error.hpp"
 
 namespace drms::arch {
@@ -23,17 +25,6 @@ bool Cluster::node_up(int node) const {
   DRMS_EXPECTS(node >= 0 && node < node_count());
   const std::lock_guard<std::mutex> lock(mutex_);
   return tc_state_[static_cast<std::size_t>(node)] == TcState::kConnected;
-}
-
-std::vector<int> Cluster::up_nodes() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<int> up;
-  for (int node = 0; node < node_count(); ++node) {
-    if (tc_state_[static_cast<std::size_t>(node)] == TcState::kConnected) {
-      up.push_back(node);
-    }
-  }
-  return up;
 }
 
 int Cluster::available_processors() const {
@@ -69,7 +60,7 @@ std::vector<int> Cluster::allocate(int min_procs, int want,
   for (const int node : nodes) {
     allocated_[static_cast<std::size_t>(node)] = true;
   }
-  pools_[job] = Pool{nodes, nullptr};
+  pools_[job] = Pool{nodes, nullptr, {}};
   record(EventKind::kProcessorsAllocated,
          "job=" + job + " count=" + std::to_string(nodes.size()));
   return nodes;
@@ -91,11 +82,18 @@ void Cluster::release(const std::string& job) {
 
 void Cluster::register_pool(const std::string& job, rt::TaskGroup* group) {
   DRMS_EXPECTS(group != nullptr);
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = pools_.find(job);
-  DRMS_EXPECTS_MSG(it != pools_.end(),
-                   "register_pool without an allocation for '" + job + "'");
-  it->second.group = group;
+  std::string pending_kill;
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    const auto it = pools_.find(job);
+    DRMS_EXPECTS_MSG(it != pools_.end(),
+                     "register_pool without an allocation for '" + job + "'");
+    it->second.group = group;
+    pending_kill = std::exchange(it->second.pending_kill, {});
+  }
+  if (!pending_kill.empty()) {
+    group->kill(pending_kill);
+  }
 }
 
 void Cluster::deregister_pool(const std::string& job) {
@@ -108,6 +106,8 @@ void Cluster::deregister_pool(const std::string& job) {
 
 void Cluster::fail_node(int node) {
   DRMS_EXPECTS(node >= 0 && node < node_count());
+  const std::string reason =
+      "lost connection to TC on node " + std::to_string(node);
   rt::TaskGroup* to_kill = nullptr;
   std::string victim_job;
   {
@@ -135,6 +135,9 @@ void Cluster::fail_node(int node) {
       // (2)-(4): kill the whole pool's TCs; healthy ones restart and
       // reactivate immediately, the failed one waits for repair_node().
       auto& pool = pools_[victim_job];
+      if (to_kill == nullptr && pool.pending_kill.empty()) {
+        pool.pending_kill = reason;  // still launching: killed at register
+      }
       for (const int owned : pool.nodes) {
         record(EventKind::kTcRestarting, "node=" + std::to_string(owned));
         if (owned != node) {
@@ -152,7 +155,7 @@ void Cluster::fail_node(int node) {
   // Kill outside the cluster lock: the group's task threads may be inside
   // runtime calls that complete before observing the kill.
   if (to_kill != nullptr) {
-    to_kill->kill("lost connection to TC on node " + std::to_string(node));
+    to_kill->kill(reason);
   }
   // Node-loss notifications also fire outside the lock (a listener may
   // call back into the cluster).
@@ -205,6 +208,9 @@ void Cluster::kill_pool(const std::string& job, const std::string& reason) {
       return;
     }
     group = it->second.group;
+    if (group == nullptr && it->second.pending_kill.empty()) {
+      it->second.pending_kill = reason;
+    }
   }
   if (group != nullptr) {
     group->kill(reason);

@@ -41,9 +41,6 @@ class Cluster {
   }
   [[nodiscard]] bool node_up(int node) const;
   [[nodiscard]] int available_processors() const;
-  /// Every node whose TC connection is live (up, allocated or not) —
-  /// the survivor set a redundancy-encoded fast tier scavenges onto.
-  [[nodiscard]] std::vector<int> up_nodes() const;
 
   /// RC: allocate up to `want` processors for `job` (at least `min`).
   /// Returns the node list, or an empty vector when fewer than `min` are
@@ -54,7 +51,9 @@ class Cluster {
   void release(const std::string& job);
 
   /// RC: associate the running task group with the job's TC pool so a TC
-  /// loss can kill it. The group must outlive the pool registration.
+  /// loss can kill it. The group must outlive the pool registration. A
+  /// kill that reached the pool before its group registered (a node lost,
+  /// or kill_pool, while the job launched) kills the group here.
   void register_pool(const std::string& job, rt::TaskGroup* group);
   void deregister_pool(const std::string& job);
 
@@ -80,13 +79,16 @@ class Cluster {
   [[nodiscard]] std::string job_on_node(int node) const;
 
   /// Kill a job's running group without failing any node (scheduler
-  /// preemption). No-op when the job has no registered group.
+  /// preemption). A pool whose group has not registered yet is killed at
+  /// registration; no-op when the job holds no pool.
   void kill_pool(const std::string& job, const std::string& reason);
 
  private:
   struct Pool {
     std::vector<int> nodes;
     rt::TaskGroup* group = nullptr;  // null until register_pool
+    /// Reason of a kill that landed before the group registered.
+    std::string pending_kill;
   };
 
   void record(EventKind kind, std::string detail);

@@ -50,6 +50,14 @@ JobScheduler::Preemption JobScheduler::preempt(const std::string& job_name,
   }
   Running& entry = it->second;
   const std::uint64_t launch = entry.launch;
+  const bool launching = entry.program == nullptr;
+  if (launching && drain_node >= 0) {
+    // Its pool registers under this lock, so it has no group yet: failing
+    // the node now would kill the job as it registers, before its
+    // enabling SOP checkpoints. The launch's end fails it instead.
+    entry.drain_at_end.push_back(drain_node);
+    drain_node = -1;
+  }
   // Runs on the last task to park at the held SOP, outside every lock.
   auto killed = std::make_shared<bool>(false);
   std::function<void()> kill = [this, job_name, drain_node, killed] {
@@ -66,16 +74,9 @@ JobScheduler::Preemption JobScheduler::preempt(const std::string& job_name,
     }
     running_cv_.notify_all();
   };
-  const bool launching = entry.program == nullptr;
   arm(job_name, entry, std::move(kill));
   if (launching) {
-    // Its pool registers under this lock, so it has no group yet and
-    // failing the drained node now kills nothing; the job parks and is
-    // killed at its first enabling SOP.
-    if (drain_node >= 0) {
-      cluster_.fail_node(drain_node);
-    }
-    return Preemption::kPreempted;
+    return Preemption::kArmed;  // parks and is killed at its enabling SOP
   }
 
   const auto settled = [&] {
@@ -93,25 +94,21 @@ JobScheduler::Preemption JobScheduler::preempt(const std::string& job_name,
   return *killed ? Preemption::kPreempted : Preemption::kNotRunning;
 }
 
-bool JobScheduler::preempt_job(const std::string& job_name,
-                               const store::StorageBackend& /*storage*/,
-                               const std::string& /*prefix_filter*/,
-                               std::int64_t /*min_sop_exclusive*/,
-                               int timeout_ms) {
-  return preempt(job_name, -1, timeout_ms) == Preemption::kPreempted;
+bool JobScheduler::preempt_job(const std::string& job_name, int timeout_ms) {
+  const Preemption p = preempt(job_name, -1, timeout_ms);
+  return p == Preemption::kPreempted || p == Preemption::kArmed;
 }
 
-bool JobScheduler::drain_node(int node,
-                              const store::StorageBackend& /*storage*/,
-                              const std::string& /*prefix_filter*/,
-                              std::int64_t /*min_sop_exclusive*/,
-                              int timeout_ms) {
+bool JobScheduler::drain_node(int node, int timeout_ms) {
   const std::string job = cluster_.job_on_node(node);
-  if (!job.empty() &&
-      preempt(job, node, timeout_ms) == Preemption::kTimedOut) {
+  const Preemption p = job.empty() ? Preemption::kNotRunning
+                                   : preempt(job, node, timeout_ms);
+  if (p == Preemption::kTimedOut) {
     return false;
   }
-  cluster_.fail_node(node);  // a no-op when the preemption's kill did it
+  if (p != Preemption::kArmed) {
+    cluster_.fail_node(node);  // a no-op when the preemption's kill did it
+  }
   if (log_ != nullptr) {
     log_->record(EventKind::kNodeDrained, "node=" + std::to_string(node));
   }
@@ -131,8 +128,13 @@ std::vector<int> JobScheduler::launch(const JobDescriptor& job) {
 void JobScheduler::end_launch(const std::string& job_name) {
   {
     const std::lock_guard<std::mutex> lock(running_mutex_);
-    running_.erase(job_name);
+    const auto it = running_.find(job_name);
+    const std::vector<int> drained = std::move(it->second.drain_at_end);
+    running_.erase(it);
     cluster_.deregister_pool(job_name);
+    for (const int node : drained) {
+      cluster_.fail_node(node);  // before the processors return to the pool
+    }
     cluster_.release(job_name);
   }
   running_cv_.notify_all();

@@ -91,40 +91,36 @@ class JobScheduler {
   /// hold is lifted, the signal disarmed and the call returns false. A job
   /// still launching is preempted at its first enabling SOP; the call
   /// records that and returns true at once. The parked handshake itself
-  /// guarantees a fresh checkpoint, so `storage`, `prefix_filter` and
-  /// `min_sop_exclusive` are not consulted. Used for scheduler-driven
-  /// shrinking and node maintenance (§8).
-  bool preempt_job(const std::string& job_name,
-                   const store::StorageBackend& storage,
-                   const std::string& prefix_filter,
-                   std::int64_t min_sop_exclusive, int timeout_ms = 10000);
+  /// guarantees a fresh checkpoint. Used for scheduler-driven shrinking
+  /// and node maintenance (§8).
+  bool preempt_job(const std::string& job_name, int timeout_ms = 10000);
 
   /// Drain a node for maintenance: preempt the job running on it (if
   /// any), then fail the node so allocations avoid it until repair. A
   /// running job is killed at its held SOP and the node fails before its
   /// processors return to the pool, so the relaunch never lands on it. A
-  /// job still launching has no task group yet: the node fails at once
-  /// and the job is evicted at its first enabling SOP. A node held by an
-  /// allocation outside the JSA is failed directly. Returns false, and
-  /// leaves the node up, only when the preemption times out. Parameters
-  /// as in preempt_job.
-  bool drain_node(int node, const store::StorageBackend& storage,
-                  const std::string& prefix_filter,
-                  std::int64_t min_sop_exclusive, int timeout_ms = 10000);
+  /// job still launching is evicted at its first enabling SOP, and the
+  /// node fails when that launch ends (failing it at once would kill the
+  /// job as its group registers, before it checkpoints). A node held by
+  /// an allocation outside the JSA is failed directly. Returns false, and
+  /// leaves the node up, only when the preemption times out.
+  bool drain_node(int node, int timeout_ms = 10000);
 
  private:
   /// A job from allocate() to release(). `program` is null while the job
   /// launches; a signal requested meanwhile waits in `pending_checkpoint`
-  /// (with a preemption's kill in `pending_hold`).
+  /// (with a preemption's kill in `pending_hold`). `drain_at_end` lists
+  /// nodes drained while the job launched, failed when the launch ends.
   struct Running {
     std::uint64_t launch = 0;
     core::DrmsProgram* program = nullptr;
     bool pending_checkpoint = false;
     std::function<void()> pending_hold;
+    std::vector<int> drain_at_end;
   };
-  /// kPreempted: killed at the held SOP, or, for a job still launching,
-  /// armed to be killed at its first enabling SOP.
-  enum class Preemption { kPreempted, kNotRunning, kTimedOut };
+  /// kPreempted: killed at the held SOP. kArmed: the job is still
+  /// launching and will be killed at its first enabling SOP.
+  enum class Preemption { kPreempted, kArmed, kNotRunning, kTimedOut };
 
   /// Allocate processors and enter the job into running_ as one step.
   [[nodiscard]] std::vector<int> launch(const JobDescriptor& job);
@@ -139,8 +135,8 @@ class JobScheduler {
   /// running_mutex_.
   void arm(const std::string& job_name, Running& entry,
            std::function<void()> on_held);
-  /// Preempt `job_name`; with `drain_node` >= 0 the kill also fails that
-  /// node.
+  /// Preempt `job_name`; with `drain_node` >= 0 that node also fails,
+  /// before the job's processors return to the pool.
   Preemption preempt(const std::string& job_name, int drain_node,
                      int timeout_ms);
 

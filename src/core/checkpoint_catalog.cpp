@@ -34,6 +34,15 @@ std::optional<std::string> prefix_of_meta(const std::string& name,
   return std::nullopt;
 }
 
+/// True when `base`, the manifest committed under `base_prefix`, is the
+/// generation a delta recorded as its base: it lists `base_meta_crc` for
+/// its meta file.
+bool is_chain_base(const CommitManifest& base, const std::string& base_prefix,
+                   std::uint32_t base_meta_crc) {
+  const CommitEntry* meta = base.entry(meta_file_name(base_prefix));
+  return meta != nullptr && meta->has_crc && meta->crc == base_meta_crc;
+}
+
 }  // namespace
 
 CommitCheck commit_status(const store::StorageBackend& storage,
@@ -65,10 +74,12 @@ CommitCheck commit_status(const store::StorageBackend& storage,
   // A delta generation is only as committed as every generation under it:
   // walk the base links and hold each member to the same standard, so a
   // broken chain disqualifies the whole tail (restart falls back, gc
-  // reclaims).
+  // reclaims). Each link must also still be the generation the delta
+  // above it was taken on, not a later rewrite of the same prefix.
   if (out.problems.empty() && !out.manifest.base_prefix.empty()) {
     std::set<std::string> seen{prefix};
     std::string cur = out.manifest.base_prefix;
+    std::uint32_t cur_meta_crc = out.manifest.base_meta_crc;
     int depth = 0;
     while (!cur.empty() && out.problems.empty()) {
       if (++depth > wire::kMaxChainDepth) {
@@ -98,6 +109,12 @@ CommitCheck commit_status(const store::StorageBackend& storage,
                                ": chain base belongs to the SPMD layout");
         break;
       }
+      if (!is_chain_base(base, cur, cur_meta_crc)) {
+        out.problems.push_back(commit_file_name(cur) +
+                               ": chain base was rewritten after the delta "
+                               "on it was taken");
+        break;
+      }
       for (const auto& e : base.entries) {
         if (!storage.exists(e.name)) {
           out.problems.push_back(e.name +
@@ -108,6 +125,7 @@ CommitCheck commit_status(const store::StorageBackend& storage,
         }
       }
       cur = base.base_prefix;
+      cur_meta_crc = base.base_meta_crc;
     }
   }
   out.committed = out.problems.empty();

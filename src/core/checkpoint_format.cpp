@@ -10,16 +10,20 @@ namespace {
 
 constexpr std::uint32_t kMetaMagic = 0x444d4554;  // "DMET"
 constexpr std::uint32_t kMetaVersion = 2;
-/// Version 3 extends version 2 with delta-generation fields: per-array
+/// Version 4 extends version 2 with delta-generation fields: per-array
 /// raw/stored/block statistics, and a trailing (kind, base_prefix,
-/// chain_depth, delta_block_bytes) chain record. Full generations keep
-/// writing version 2 so their byte encoding (and everything derived from
-/// it — manifest CRCs, modeled commit time) is unchanged.
-constexpr std::uint32_t kMetaVersionDelta = 3;
+/// base_meta_crc, chain_depth, delta_block_bytes) chain record. Full
+/// generations keep writing version 2 so their byte encoding (and
+/// everything derived from it — manifest CRCs, modeled commit time) is
+/// unchanged. Version 3 lacked base_meta_crc and is no longer accepted.
+constexpr std::uint32_t kMetaVersionDelta = 4;
 constexpr std::uint32_t kCommitMagic = 0x544d4344;  // "DCMT"
 constexpr std::uint32_t kCommitVersion = 1;
-/// Version 2 appends the chain base_prefix; only delta generations use it.
-constexpr std::uint32_t kCommitVersionDelta = 2;
+/// Version 3 appends the chain link — base_prefix and the base's meta CRC
+/// — and only delta generations use it. Version 2 carried the prefix
+/// alone, which cannot tell a rewritten base from the one the delta was
+/// taken on, so it is no longer accepted.
+constexpr std::uint32_t kCommitVersionDelta = 3;
 
 void serialize_meta(const CheckpointMeta& meta, support::ByteBuffer& out) {
   const bool delta = meta.kind != GenerationKind::kFull;
@@ -51,6 +55,7 @@ void serialize_meta(const CheckpointMeta& meta, support::ByteBuffer& out) {
   if (delta) {
     body.put_u8(static_cast<std::uint8_t>(meta.kind));
     body.put_string(meta.base_prefix);
+    body.put_u32(meta.base_meta_crc);
     body.put_i64(meta.chain_depth);
     body.put_u64(meta.delta_block_bytes);
   }
@@ -114,6 +119,7 @@ CheckpointMeta deserialize_meta(support::ByteBuffer& in,
     }
     meta.kind = GenerationKind::kDelta;
     meta.base_prefix = body.get_string();
+    meta.base_meta_crc = body.get_u32();
     meta.chain_depth = body.get_i64();
     meta.delta_block_bytes = body.get_u64();
     if (meta.base_prefix.empty()) {
@@ -132,6 +138,7 @@ void serialize_manifest(const CommitManifest& manifest,
   body.put_bool(manifest.spmd);
   if (!manifest.base_prefix.empty()) {
     body.put_string(manifest.base_prefix);
+    body.put_u32(manifest.base_meta_crc);
   }
   body.put_u64(manifest.entries.size());
   for (const auto& e : manifest.entries) {
@@ -176,6 +183,7 @@ CommitManifest deserialize_manifest(support::ByteBuffer& in,
       throw support::CorruptCheckpoint(what +
                                        ": delta manifest without a base");
     }
+    manifest.base_meta_crc = body.get_u32();
   }
   const std::uint64_t n = body.get_u64();
   manifest.entries.reserve(n);
@@ -198,9 +206,13 @@ void write_meta_file(store::StorageBackend& storage, const std::string& file,
 }
 
 CheckpointMeta read_meta_file(const store::StorageBackend& storage,
-                              const std::string& file) {
+                              const std::string& file,
+                              std::uint32_t* file_crc = nullptr) {
   const store::FileHandle handle = storage.open(file);
   support::ByteBuffer buf = store::read_to_buffer(handle, 0, handle.size());
+  if (file_crc != nullptr) {
+    *file_crc = support::crc32c(buf.bytes());
+  }
   return deserialize_meta(buf, file);
 }
 
@@ -321,6 +333,12 @@ void write_checkpoint_meta(store::StorageBackend& storage, const std::string& pr
 CheckpointMeta read_checkpoint_meta(const store::StorageBackend& storage,
                                     const std::string& prefix) {
   return read_meta_file(storage, meta_file_name(prefix));
+}
+
+CheckpointMeta read_checkpoint_meta(const store::StorageBackend& storage,
+                                    const std::string& prefix,
+                                    std::uint32_t& file_crc) {
+  return read_meta_file(storage, meta_file_name(prefix), &file_crc);
 }
 
 bool checkpoint_exists(const store::StorageBackend& storage,

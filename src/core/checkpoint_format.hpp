@@ -113,10 +113,13 @@ struct CheckpointMeta {
   std::vector<ArrayMeta> arrays;
   /// Generation chaining (delta checkpoints). Full generations keep the
   /// defaults and serialize on the unchanged version-2 encoding; a delta
-  /// names its base generation, its distance from the chain's full base
-  /// (1 = first delta), and the dirty-tracking block granularity.
+  /// names its base generation and that base's identity (the CRC of its
+  /// meta file, as its commit manifest lists it), its distance from the
+  /// chain's full base (1 = first delta), and the dirty-tracking block
+  /// granularity.
   GenerationKind kind = GenerationKind::kFull;
   std::string base_prefix;
+  std::uint32_t base_meta_crc = 0;
   std::int64_t chain_depth = 0;
   std::uint64_t delta_block_bytes = 0;
 
@@ -147,6 +150,11 @@ struct CommitManifest {
   /// walk chains without touching meta files. Full generations leave it
   /// empty and serialize on the unchanged version-1 encoding.
   std::string base_prefix;
+  /// Identity of that base, mirrored from the meta the same way: the CRC
+  /// its own manifest lists for its meta file. A base prefix rewritten
+  /// after the delta was taken lists another CRC, which disqualifies the
+  /// delta.
+  std::uint32_t base_meta_crc = 0;
 
   [[nodiscard]] const CommitEntry* entry(const std::string& name) const;
   [[nodiscard]] std::uint64_t listed_bytes() const;
@@ -185,6 +193,11 @@ void write_checkpoint_meta(store::StorageBackend& storage, const std::string& pr
                            const CheckpointMeta& meta);
 [[nodiscard]] CheckpointMeta read_checkpoint_meta(const store::StorageBackend& storage,
                                                   const std::string& prefix);
+/// As above, also returning the CRC-32C of the meta file's bytes: the
+/// value its commit manifest lists, i.e. the generation's identity.
+[[nodiscard]] CheckpointMeta read_checkpoint_meta(const store::StorageBackend& storage,
+                                                  const std::string& prefix,
+                                                  std::uint32_t& file_crc);
 [[nodiscard]] bool checkpoint_exists(const store::StorageBackend& storage,
                                      const std::string& prefix);
 

@@ -1,6 +1,7 @@
 #include "core/delta_format.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <set>
 
 #include "core/checkpoint_format.hpp"
@@ -160,6 +161,8 @@ std::vector<std::string> resolve_checkpoint_chain(
   std::vector<std::string> chain;
   std::set<std::string> seen;
   std::string cur = prefix;
+  // The identity the delta above `cur` recorded for it (none for prefix).
+  std::optional<std::uint32_t> base_meta_crc;
   for (int depth = 0; depth < wire::kMaxChainDepth; ++depth) {
     if (!seen.insert(cur).second) {
       throw support::CorruptCheckpoint("checkpoint chain at '" + prefix +
@@ -170,12 +173,20 @@ std::vector<std::string> resolve_checkpoint_chain(
                                        "' of checkpoint '" + prefix +
                                        "' is not committed");
     }
-    const CheckpointMeta meta = read_checkpoint_meta(storage, cur);
+    std::uint32_t meta_crc = 0;
+    const CheckpointMeta meta = read_checkpoint_meta(storage, cur, meta_crc);
+    if (base_meta_crc.has_value() && meta_crc != *base_meta_crc) {
+      throw support::CorruptCheckpoint("chain member '" + cur +
+                                       "' of checkpoint '" + prefix +
+                                       "' was rewritten after the delta on "
+                                       "it was taken");
+    }
     chain.push_back(cur);
     if (meta.kind == GenerationKind::kFull) {
       std::reverse(chain.begin(), chain.end());
       return chain;
     }
+    base_meta_crc = meta.base_meta_crc;
     cur = meta.base_prefix;
   }
   throw support::CorruptCheckpoint("checkpoint chain at '" + prefix +

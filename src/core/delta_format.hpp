@@ -15,8 +15,10 @@
 //              stream-order block plan, raw/stored byte counts, payload
 //              offset, codec id, and CRC-32C of both the raw and the
 //              stored bytes.
-// The meta (version 3) and commit manifest (version 2) carry the chain
-// link: base_prefix names the generation this delta applies on top of.
+// The meta (version 4) and commit manifest (version 3) carry the chain
+// link: base_prefix names the generation this delta applies on top of,
+// and base_meta_crc that base's identity (the CRC its own manifest lists
+// for its meta file).
 #pragma once
 
 #include <cstdint>
@@ -86,9 +88,10 @@ struct DeltaFileHeader {
 
 /// The chain of generations ending at `prefix`, base first (so
 /// chain.front() is the full generation and chain.back() == prefix).
-/// Every member must be committed with a readable meta; throws
-/// CorruptCheckpoint on a missing/uncommitted base, a cycle, or a chain
-/// deeper than wire::kMaxChainDepth.
+/// Every member must be committed with a readable meta, and each base
+/// must still be the generation the delta above it recorded (its meta
+/// CRC); throws CorruptCheckpoint on a missing/uncommitted or rewritten
+/// base, a cycle, or a chain deeper than wire::kMaxChainDepth.
 [[nodiscard]] std::vector<std::string> resolve_checkpoint_chain(
     const store::StorageBackend& storage, const std::string& prefix);
 

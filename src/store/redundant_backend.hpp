@@ -24,8 +24,8 @@
 //             tier instead of erroring.
 //
 // The backend is arch-agnostic: it numbers nodes 0..N-1 and leaves the
-// mapping to arch::Cluster processors to the caller (see
-// arch/placement.hpp), so drms::store keeps its no-upward-deps layering.
+// mapping to arch::Cluster processors to the caller, so drms::store keeps
+// its no-upward-deps layering.
 #pragma once
 
 #include <atomic>

@@ -378,7 +378,7 @@ TEST(JobScheduler, PreemptionShrinksARunningJob) {
     while (cluster.nodes_of("SP").empty()) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
-    EXPECT_TRUE(jsa.preempt_job("SP", volume, "pre.sp", 0));
+    EXPECT_TRUE(jsa.preempt_job("SP"));
     // Take 4 of the released nodes before the relaunch can.
     while (cluster.nodes_of("SP").size() != 0 &&
            cluster.available_processors() < 8) {
@@ -427,7 +427,7 @@ TEST(JobScheduler, DrainNodeEvictsAndFailsIt) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
     drained_node = cluster.nodes_of("BT")[1];
-    EXPECT_TRUE(jsa.drain_node(drained_node, volume, "drain.bt", 0));
+    EXPECT_TRUE(jsa.drain_node(drained_node));
   });
   const JobOutcome outcome = jsa.run_job(job);
   maintenance.join();
@@ -524,7 +524,7 @@ TEST(JobScheduler, DrainNodeEvictsAJobStillLaunching) {
   std::thread maintenance([&] {
     gate.launching.wait();
     drained_node = cluster.nodes_of("BT")[1];
-    drained = jsa.drain_node(drained_node, volume, "launch.bt", 0);
+    drained = jsa.drain_node(drained_node);
     gate.open.count_down();
   });
   const JobOutcome outcome = jsa.run_job(job);
@@ -544,15 +544,52 @@ TEST(JobScheduler, DrainNodeEvictsAJobStillLaunching) {
   EXPECT_EQ(slot->start_iteration, 4);
 }
 
-TEST(JobScheduler, DrainNodeFailsANodeHeldOutsideTheJsa) {
+TEST(JobScheduler, NodeLostWhileLaunchingKillsTheJob) {
   EventLog log;
   Cluster cluster(Machine::paper_sp16(), &log);
   JobScheduler jsa(cluster, &log);
   Volume volume(16);
+
+  SolverOptions options;
+  options.spec = AppSpec::lu();
+  options.n = 8;
+  options.iterations = 8;
+  options.checkpoint_every = 4;
+  options.prefix = "lost.lu";
+  options.compute_field_crc = false;
+  auto slot = std::make_shared<SolverOutcome>();
+  JobDescriptor job = solver_job(volume, options, slot, 4);
+  LaunchGate gate;
+  gate.wrap(job);
+
+  int lost_node = -1;
+  std::thread injector([&] {
+    gate.launching.wait();
+    lost_node = cluster.nodes_of("LU")[2];
+    cluster.fail_node(lost_node);
+    gate.open.count_down();
+  });
+  const JobOutcome outcome = jsa.run_job(job);
+  injector.join();
+
+  // The kill waited for the group to register: the first attempt never
+  // ran on the lost node, and the relaunch avoided it.
+  EXPECT_TRUE(outcome.completed);
+  ASSERT_GE(outcome.attempts.size(), 2u);
+  EXPECT_TRUE(outcome.attempts[0].killed);
+  EXPECT_NE(outcome.attempts[0].kill_reason.find("lost connection to TC"),
+            std::string::npos);
+  EXPECT_FALSE(cluster.node_up(lost_node));
+}
+
+TEST(JobScheduler, DrainNodeFailsANodeHeldOutsideTheJsa) {
+  EventLog log;
+  Cluster cluster(Machine::paper_sp16(), &log);
+  JobScheduler jsa(cluster, &log);
   const std::vector<int> nodes = cluster.allocate(1, 2, "hog");
   ASSERT_EQ(nodes.size(), 2u);
 
-  EXPECT_TRUE(jsa.drain_node(nodes[0], volume, "hog", 0));
+  EXPECT_TRUE(jsa.drain_node(nodes[0]));
   EXPECT_FALSE(cluster.node_up(nodes[0]));
   EXPECT_TRUE(cluster.node_up(nodes[1]));
   EXPECT_EQ(log.count(EventKind::kNodeDrained), 1);
@@ -617,7 +654,7 @@ TEST(JobScheduler, PreemptionHoldsTheJobAtItsEnablingSop) {
   bool preempted = false;
   std::thread scheduler_thread([&] {
     reached.wait();
-    preempted = jsa.preempt_job("SP", volume, "hold.sp", 0);
+    preempted = jsa.preempt_job("SP");
   });
   const JobOutcome outcome = jsa.run_job(job);
   scheduler_thread.join();
@@ -668,7 +705,7 @@ TEST(JobScheduler, PreemptionTimeoutLiftsTheHoldAndDisarms) {
   bool preempted = true;
   std::thread scheduler_thread([&] {
     reached.wait();
-    preempted = jsa.preempt_job("LU", volume, "timeout.lu", 0, 50);
+    preempted = jsa.preempt_job("LU", 50);
     returned.count_down();
   });
   const JobOutcome outcome = jsa.run_job(job);

@@ -2,7 +2,7 @@
 // + property tests mirroring the CRC suite), the runtime dirty tracking,
 // the chained write/restore path, the chain-aware catalog (GC keeps a
 // base alive while a kept delta depends on it; fsck reports a delta whose
-// base is gone as torn), and `array_fingerprint`, the digest restores are
+// base is gone or rewritten as torn), and `array_fingerprint`, the digest restores are
 // checked with (it equals a full generation's recorded stream CRC at any
 // task count).
 #include <gtest/gtest.h>
@@ -547,6 +547,63 @@ TEST(DeltaChain, PrefixInLiveChainWritesFreshFullChain) {
   // other than the writer's.
   EXPECT_EQ(run_app(volume, 3, true, "pc.c", prefix_of), reference);
   EXPECT_EQ(run_app(volume, 5, true, "pc.a", prefix_of), reference);
+}
+
+TEST(DeltaChain, RewrittenBaseDisqualifiesItsDeltas) {
+  // Checkpoints at it=2,4,6 go to a, b, a: "b" is a delta on the first
+  // "a", and the array changes before "a" is rewritten as a full
+  // generation. "b" names "a" as its base but was not taken on the
+  // rewrite, so replaying it over the rewrite would restore a field that
+  // never existed.
+  const auto prefix_of = [](std::int64_t it) -> std::string {
+    return it == 4 ? "rb.b" : "rb.a";
+  };
+  Volume volume(16);
+  DrmsProgram program("dc", delta_env(volume, 4), tiny_segment(), 4);
+  TaskGroup group(placement_of(4));
+  ASSERT_TRUE(group
+                  .run([&](TaskContext& ctx) {
+                    DeltaApp::run(program, ctx, 7, prefix_of);
+                  })
+                  .completed);
+  ASSERT_EQ(read_checkpoint_meta(volume, "rb.a").kind, GenerationKind::kFull);
+  const CheckpointMeta b_meta = read_checkpoint_meta(volume, "rb.b");
+  ASSERT_EQ(b_meta.kind, GenerationKind::kDelta);
+  ASSERT_EQ(b_meta.base_prefix, "rb.a");
+
+  // Not committed, so not a restart candidate...
+  EXPECT_FALSE(commit_status(volume, "rb.b", false).committed);
+  for (const auto& r : restart_candidates(volume, "dc")) {
+    EXPECT_NE(r.prefix, "rb.b");
+  }
+  // ...verify reports it...
+  CheckpointRecord b;
+  b.prefix = "rb.b";
+  b.meta = b_meta;
+  const VerifyResult v = verify_checkpoint(volume, b, /*deep=*/true);
+  EXPECT_FALSE(v.ok);
+  EXPECT_FALSE(v.problems.empty());
+  // ...restoring it refuses instead of replaying onto the rewrite...
+  TaskGroup restore_group(placement_of(3));
+  DistArray u("u", cube(kN), sizeof(double), 3);
+  ASSERT_TRUE(restore_group
+                  .run([&](TaskContext& ctx) {
+                    if (ctx.rank() == 0) {
+                      u.install_distribution(DistSpec::block_auto(
+                          cube(kN), 3, std::vector<Index>(3, 0)));
+                    }
+                    ctx.barrier();
+                    DrmsCheckpoint engine(volume.backend(), {});
+                    RestartTiming timing;
+                    EXPECT_THROW(
+                        engine.restore_array(ctx, "rb.b", b_meta, u, timing),
+                        support::CorruptCheckpoint);
+                  })
+                  .completed);
+  // ...and restart-from-latest picks the rewrite.
+  const auto latest = latest_checkpoint(volume, "dc", "rb.");
+  ASSERT_TRUE(latest.has_value());
+  EXPECT_EQ(latest->prefix, "rb.a");
 }
 
 TEST(ArrayFingerprint, StableAndSensitive) {

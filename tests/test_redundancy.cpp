@@ -3,8 +3,7 @@
 // cycle, a seeded sweep of lost-node subsets per scheme (scavenged
 // content must be bit-identical to the failure-free run), the
 // beyond-tolerance fallback through the tiered backend, the background
-// encode service, offline fragment-set auditing, and the arch-side
-// placement helpers.
+// encode service and offline fragment-set auditing.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -13,8 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "arch/cluster.hpp"
-#include "arch/placement.hpp"
 #include "core/checkpoint_catalog.hpp"
 #include "obs/instrumented_backend.hpp"
 #include "obs/recorder.hpp"
@@ -464,34 +461,6 @@ TEST(RedundantBackend, FsckIgnoresFragmentsOnACommittedStateVolume) {
   for (const auto& f : states[0].reclaimable) {
     EXPECT_EQ(f.find("#f"), std::string::npos) << f;
   }
-}
-
-// ---- arch-side placement helpers --------------------------------------------
-
-TEST(Placement, ContiguousGroupsAndPartners) {
-  const auto groups = arch::contiguous_groups(8, 4);
-  ASSERT_EQ(groups.size(), 2u);
-  EXPECT_EQ(groups[0], (std::vector<int>{0, 1, 2, 3}));
-  EXPECT_EQ(groups[1], (std::vector<int>{4, 5, 6, 7}));
-  EXPECT_EQ(arch::partner_of(0, 4), 1);
-  EXPECT_EQ(arch::partner_of(1, 4), 0);
-  EXPECT_EQ(arch::partner_of(2, 4), 3);
-  EXPECT_THROW((void)arch::contiguous_groups(6, 4), support::Error);
-}
-
-TEST(Placement, GroupsScavengeableTracksPerGroupLosses) {
-  sim::Machine machine;
-  machine.node_count = 4;
-  machine.server_count = 4;
-  arch::Cluster cluster(machine, nullptr);
-  EXPECT_TRUE(arch::groups_scavengeable(cluster, 2, 1));
-  cluster.fail_node(0);
-  EXPECT_TRUE(arch::groups_scavengeable(cluster, 2, 1));
-  cluster.fail_node(2);
-  EXPECT_TRUE(arch::groups_scavengeable(cluster, 2, 1));
-  cluster.fail_node(1);  // pair {0,1} fully gone
-  EXPECT_FALSE(arch::groups_scavengeable(cluster, 2, 1));
-  EXPECT_EQ(cluster.up_nodes(), (std::vector<int>{3}));
 }
 
 }  // namespace
